@@ -219,7 +219,7 @@ def parse_trace(source: str | Mapping[str, Any]) -> TraceDocument:
         feasible = True
     start_time = data.get("start_time", 0.0)
     if not _is_number(start_time):
-        errors.append(f"start_time: expected a number, got {start_time!r}")
+        errors.append(f"start_time: expected a finite number, got {start_time!r}")
         start_time = 0.0
 
     events: list[ExecutionEvent] = []
@@ -410,7 +410,7 @@ def parse_profiles(source: str | Mapping[str, Any]) -> dict[str, BehaviorProfile
                     "anticipation_offset", "mean_fraction", "stddev_fraction"):
             if key in raw:
                 if not _is_number(raw[key]):
-                    errors.append(f"{path}.{key}: expected a number, got {raw[key]!r}")
+                    errors.append(f"{path}.{key}: expected a finite number, got {raw[key]!r}")
                 else:
                     fields[key] = float(raw[key])
         try:
@@ -458,7 +458,17 @@ def _reject_unknown(
 
 
 def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number.
+
+    Python's ``json`` accepts ``NaN`` and ``Infinity`` tokens, and integers
+    too large for a float, so each is checked here rather than trusted.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _parse_name(value: Any, path: str, errors: list[str]) -> str | None:
@@ -475,7 +485,7 @@ def _parse_bound(
     if value is None:
         return -INF if side == "lower" else INF
     if not _is_number(value):
-        errors.append(f"{path}: expected a number or null, got {value!r}")
+        errors.append(f"{path}: expected a finite number or null, got {value!r}")
         return None
     return float(value)
 
@@ -685,11 +695,11 @@ def _parse_event(item: Any, path: str, errors: list[str]) -> ExecutionEvent | No
     action = _parse_name(item.get("action"), f"{path}.action", errors)
     start = item.get("start")
     if not _is_number(start):
-        errors.append(f"{path}.start: expected a number, got {start!r}")
+        errors.append(f"{path}.start: expected a finite number, got {start!r}")
         start = None
     end = item.get("end")
     if not _is_number(end):
-        errors.append(f"{path}.end: expected a number, got {end!r}")
+        errors.append(f"{path}.end: expected a finite number, got {end!r}")
         end = None
     if None in (agent, petal, action, start, end):
         return None
@@ -726,7 +736,7 @@ def _parse_capabilities(
                 errors.append(f"{where}: {petal_name!r} is not a declared petal")
                 continue
             if not _is_number(score):
-                errors.append(f"{where}: expected a number, got {score!r}")
+                errors.append(f"{where}: expected a finite number, got {score!r}")
                 continue
             if score < 0:
                 errors.append(f"{where}: scores may not be negative, got {score!r}")

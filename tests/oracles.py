@@ -195,3 +195,80 @@ def random_consistent_case(
         i, j = rng.sample(range(n), 2)
         constraints.append(wrap(i, j))
     return n, constraints
+
+
+# -- dense all-pairs reference ------------------------------------------------
+
+#: The verdict tolerance of the library, restated so the oracle imports nothing.
+TOLERANCE = 1e-9
+
+
+def dense_distances(
+    n: int, constraints: Sequence[Constraint]
+) -> tuple[bool, list[list[float]]]:
+    """Floyd–Warshall over a dense distance matrix: (consistent, d).
+
+    ``d[i][j]`` bounds ``t[j] - t[i]`` from above. Duplicate constraints
+    intersect via min, a self constraint lands on the diagonal, and the
+    network is consistent when no diagonal entry falls below -TOLERANCE.
+    Cubic and pure Python; a reference for the sparse solver, not a
+    replacement for it.
+    """
+    d = [[math.inf] * n for _ in range(n)]
+    for i in range(n):
+        d[i][i] = 0.0
+    for i, j, lower, upper in constraints:
+        d[i][j] = min(d[i][j], upper)
+        d[j][i] = min(d[j][i], -lower)
+    for k in range(n):
+        through = d[k]
+        for row in d:
+            head = row[k]
+            if head == math.inf:
+                continue
+            for j, tail in enumerate(through):
+                if head + tail < row[j]:
+                    row[j] = head + tail
+    return all(d[i][i] >= -TOLERANCE for i in range(n)), d
+
+
+def random_dyadic_case(
+    rng: random.Random, max_points: int = 40
+) -> tuple[int, list[Constraint]]:
+    """A random network of up to ``max_points`` points; may be inconsistent.
+
+    Bounds are multiples of 1/8 around the differences of a hidden schedule,
+    so every path sum is exact in floating point and two correct solvers
+    agree bit for bit. Some bounds are infinite, some pairs are constrained
+    twice, some constraints tie a point to itself, and about half the
+    networks have a constraint shifted off the hidden schedule.
+    """
+    n = rng.randint(1, max_points)
+    times = [rng.randint(-160, 160) / 8 for _ in range(n)]
+    constraints: list[Constraint] = []
+    for _ in range(rng.randint(0, 2 * n)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j and rng.random() < 0.7:
+            j = (i + 1) % n
+        diff = times[j] - times[i]
+        lower = diff - rng.randint(0, 24) / 8
+        upper = diff + rng.randint(0, 24) / 8
+        if rng.random() < 0.15:
+            lower = -math.inf
+        if rng.random() < 0.15:
+            upper = math.inf
+        constraints.append((i, j, lower, upper))
+        if rng.random() < 0.1:  # the same pair again, possibly reversed
+            if rng.random() < 0.5:
+                constraints.append((i, j, lower - 0.5, upper - 0.25))
+            else:
+                constraints.append((j, i, -upper, -lower + 0.125))
+    if constraints and rng.random() < 0.5:
+        k = rng.randrange(len(constraints))
+        i, j, lower, upper = constraints[k]
+        shift = rng.randint(1, 40) / 8
+        if upper != math.inf:
+            constraints[k] = (i, j, upper + shift, upper + 2 * shift)
+        elif lower != -math.inf:
+            constraints[k] = (i, j, lower - 2 * shift, lower - shift)
+    return n, constraints

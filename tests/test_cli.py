@@ -94,6 +94,21 @@ def test_domain_failures_go_to_stderr(tmp_path, capsys):
     assert "not valid JSON" in err
 
 
+def test_analyze_rejects_non_finite_trace_times(tmp_path, capsys):
+    code, _, _ = run(capsys, "simulate", TASK, "--seed", "0", "--out", str(tmp_path))
+    assert code == 0
+    trace_file = tmp_path / "trace-0.json"
+    doc = json.loads(trace_file.read_text())
+    doc["start_time"] = float("nan")
+    trace_file.write_text(json.dumps(doc))  # written as the bare token NaN
+    code, out, err = run(capsys, "analyze", TASK, str(trace_file))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "start_time: expected a finite number" in err
+    assert "Traceback" not in err
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys)[0] == 2
     assert run(capsys, "frobnicate", TASK)[0] == 2

@@ -393,3 +393,30 @@ def test_infinite_floats_never_reach_the_json_layer(packaging):
     text = dump_document(daisy_document(packaging))
     assert "Infinity" not in text
     assert math.inf not in json.loads(text).get("constraints", [{}])[0].values()
+
+
+def test_non_finite_numbers_are_rejected_with_their_paths():
+    # Python's json reads NaN and Infinity tokens; the documents must not.
+    trace = (
+        '{"agents": ["a"], "start_time": NaN, "events": ['
+        '{"agent": "a", "petal": "p", "action": "x", "start": Infinity, "end": -Infinity}]}'
+    )
+    with pytest.raises(DocumentError) as excinfo:
+        parse_trace(trace)
+    errors = excinfo.value.errors
+    assert any(e.startswith("start_time: expected a finite number") for e in errors)
+    assert any(e.startswith("events[0].start: expected a finite number") for e in errors)
+    assert any(e.startswith("events[0].end: expected a finite number") for e in errors)
+
+    with pytest.raises(DocumentError) as excinfo:
+        parse_profiles('{"human": {"reaction_delay": NaN, "anticipation_offset": 1e999}}')
+    errors = excinfo.value.errors
+    assert any(e.startswith("human.reaction_delay: expected a finite number") for e in errors)
+    assert any(e.startswith("human.anticipation_offset: expected a finite number")
+               for e in errors)
+
+    # An integer too large for a float is no number either.
+    errors = failures(json.dumps(tiny_doc(makespan=[0.0, 10**400])))
+    assert any(e.startswith("makespan[1]: expected a finite number or null") for e in errors)
+    errors = failures(json.dumps(tiny_doc(makespan=[0.0, math.inf])))
+    assert any(e.startswith("makespan[1]: expected a finite number or null") for e in errors)

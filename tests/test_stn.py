@@ -2,9 +2,15 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import madtn
 
 from madtn import (
     INF,
@@ -26,8 +32,10 @@ from conftest import stn_as_tuples, stn_from_tuples
 from oracles import (
     brute_consistent,
     brute_difference_bounds,
+    dense_distances,
     random_case,
     random_consistent_case,
+    random_dyadic_case,
 )
 
 
@@ -103,6 +111,12 @@ def test_negative_cycle_is_inconsistent():
     assert not graph.consistent
     assert not consistent(stn)
     assert not brute_consistent(*stn_as_tuples(stn))
+    # An inconsistent network has no distances to report.
+    a, b = stn.timepoints
+    with pytest.raises(InconsistentNetworkError):
+        graph.bounds(a, b)
+    with pytest.raises(InconsistentNetworkError):
+        graph.matrix
 
 
 def test_duplicate_constraints_intersect():
@@ -144,6 +158,84 @@ def test_solver_matches_oracle_on_random_networks():
         n, constraints = random_case(rng)
         stn = stn_from_tuples(n, constraints)
         assert solve(stn).consistent == brute_consistent(n, constraints)
+
+
+def test_solver_matches_dense_oracle_on_random_networks():
+    rng = random.Random(0xD15C)
+    seen = {"inconsistent": 0, "unbounded": 0, "scheduled": 0, "self": 0, "infinite": 0}
+    for _ in range(250):
+        n, constraints = random_dyadic_case(rng, max_points=40)
+        seen["self"] += any(i == j for i, j, _, _ in constraints)
+        seen["infinite"] += any(math.isinf(b) for c in constraints for b in c[2:])
+        verdict, d = dense_distances(n, constraints)
+        stn = stn_from_tuples(n, constraints)
+        graph = solve(stn)
+        assert graph.consistent == verdict, (n, constraints)
+        if not verdict:
+            seen["inconsistent"] += 1
+            with pytest.raises(InconsistentNetworkError):
+                earliest_schedule(stn)
+            continue
+        points = stn.timepoints
+        for i in range(n):
+            for j in range(n):
+                expected = (-d[j][i] + 0.0, d[i][j] + 0.0)
+                assert graph.bounds(points[i], points[j]) == expected, (n, constraints, i, j)
+        assert graph.matrix.tolist() == d
+        if any(d[k][0] == INF for k in range(n)):
+            seen["unbounded"] += 1
+            with pytest.raises(UnboundedScheduleError):
+                earliest_schedule(stn)
+        else:
+            seen["scheduled"] += 1
+            expected = {point: -d[k][0] + 0.0 for k, point in enumerate(points)}
+            assert earliest_schedule(stn) == expected
+    # Every kind of case must actually occur or the comparison proves little.
+    assert min(seen.values()) >= 10, seen
+
+
+def test_rounding_sized_cycles_stay_consistent():
+    # The cycle c -> b -> a -> c sums to -0.2 - 0.1 + 0.3 == -5.6e-17 in
+    # floating point: zero in exact arithmetic, and consistent.
+    constraints = [(0, 1, 0.1, 0.1), (1, 2, 0.2, 0.2), (0, 2, 0.3, 0.3)]
+    assert -0.2 - 0.1 + 0.3 < 0
+    assert dense_distances(3, constraints)[0]
+    stn = stn_from_tuples(3, constraints)
+    assert solve(stn).consistent
+    times = earliest_schedule(stn)
+    assert list(times.values()) == [0.0, 0.1, 0.3]
+    assert check_schedule(stn, times) == []
+
+
+def test_cycles_within_tolerance_are_consistent():
+    def cycle_weighing(weight):
+        # a -> b -> a with the return leg short by |weight|.
+        return stn_from_tuples(2, [(0, 1, 1.0, 1.0), (1, 0, -2.0, -1.0 + weight)])
+
+    assert solve(cycle_weighing(-5e-10)).consistent
+    assert not solve(cycle_weighing(-2e-9)).consistent
+    assert solve(stn_from_tuples(1, [(0, 0, 5e-10, 1.0)])).consistent
+    assert not solve(stn_from_tuples(1, [(0, 0, 2e-9, 1.0)])).consistent
+
+
+def test_import_and_solve_leave_numpy_unloaded():
+    # Only DistanceGraph.matrix needs numpy; everything else is pure Python.
+    script = (
+        "import sys\n"
+        "from madtn import compile_to_stn, earliest_schedule, load_packaged_example, solve\n"
+        "daisy = load_packaged_example().daisy\n"
+        "stn = compile_to_stn(daisy)\n"
+        "print(solve(stn).bounds(daisy.start, daisy.end))\n"
+        "earliest_schedule(stn)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = str(Path(madtn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["(7.5, 60.0)", "False"]
 
 
 def test_minimal_network_bounds_are_realized_extremes():
