@@ -45,5 +45,6 @@ trace = simulate(daisy, profiles={"human": keen}, seed=11)
 show("anticipating human", trace)
 print("\nviolated constraints:")
 for constraint in validate_trace(daisy, trace):
-    print(f"  {constraint.source.label} -> {constraint.target.label} "
+    print(f"  {daisy.vertex_path(constraint.source)} -> "
+          f"{daisy.vertex_path(constraint.target)} "
           f"needed [{constraint.lower:g}, ...)")

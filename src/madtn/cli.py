@@ -158,14 +158,6 @@ def _chosen_ordering(args, doc: files.DaisySpecDocument) -> tuple[str, ...] | No
     return doc.ordering
 
 
-def _vertex_name(daisy: Daisy, point) -> str:
-    if point is daisy.start:
-        return files.GLOBAL_START_TOKEN
-    if point is daisy.end:
-        return files.GLOBAL_END_TOKEN
-    return point.label
-
-
 def _cmd_validate(args) -> int:
     # Parsing already folds in model validation; reaching here means sound.
     _, daisy = _load_task(args)
@@ -202,7 +194,7 @@ def _cmd_schedule(args) -> int:
     )
     times = earliest_schedule(stn)
     for point in stn.timepoints:
-        print(f"{times[point]:12.6f}  {_vertex_name(daisy, point)}")
+        print(f"{times[point]:12.6f}  {daisy.vertex_path(point)}")
     return 0
 
 

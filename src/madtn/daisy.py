@@ -9,10 +9,11 @@ the two global ones.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import (
     EmptyPetalError,
@@ -21,8 +22,15 @@ from .errors import (
     MalformedOrderingError,
     NegativeDurationError,
     UnassignedPetalError,
+    UnknownTimePointError,
 )
 from .stn import INF, STN, UNASSIGNED, TimePoint
+
+#: Path tokens for the global vertices in constraint endpoints.
+GLOBAL_START_TOKEN = "Vs"
+GLOBAL_END_TOKEN = "Ve"
+
+Node = TypeVar("Node", bound=Hashable)
 
 
 @dataclass(frozen=True)
@@ -99,12 +107,6 @@ class Petal:
     def last(self) -> Action:
         return self.actions[-1]
 
-    def action(self, name: str) -> Action:
-        for a in self.actions:
-            if a.name == name:
-                return a
-        raise KeyError(f"petal {self.name!r} has no action named {name!r}")
-
     def with_owner(self, owner: str) -> Petal:
         """A copy assigned to ``owner``; actions (and their vertices) are shared."""
         return Petal(name=self.name, actions=self.actions, owner=owner, tags=self.tags)
@@ -139,6 +141,10 @@ class ExternalConstraint:
         object.__setattr__(self, "kind", ConstraintKind(self.kind))
 
 
+#: Where an action vertex sits: its petal, its action, and "start" or "end".
+Located = tuple[Petal, Action, str]
+
+
 @dataclass(frozen=True, eq=False)
 class Daisy:
     """A full collaborative task: agents, petals, and external constraints."""
@@ -158,30 +164,46 @@ class Daisy:
     def agent_ids(self) -> tuple[str, ...]:
         return tuple(a.id for a in self.agents)
 
-    def agent(self, agent_id: str) -> Agent:
-        for a in self.agents:
-            if a.id == agent_id:
-                return a
-        raise KeyError(f"no agent with id {agent_id!r}")
+    @functools.cached_property
+    def _index(self) -> tuple[dict[str, Petal], dict[TimePoint, Located]]:
+        """Petals by name and action vertices to where they sit, built once.
+
+        Where an invalid daisy repeats a petal name or an action, the first wins.
+        """
+        petals: dict[str, Petal] = {}
+        vertices: dict[TimePoint, Located] = {}
+        for petal in self.petals:
+            petals.setdefault(petal.name, petal)
+            for action in petal.actions:
+                vertices.setdefault(action.start, (petal, action, "start"))
+                vertices.setdefault(action.end, (petal, action, "end"))
+        return petals, vertices
 
     def petal(self, name: str) -> Petal:
-        for p in self.petals:
-            if p.name == name:
-                return p
-        raise KeyError(f"no petal named {name!r}")
+        try:
+            return self._index[0][name]
+        except KeyError:
+            raise KeyError(f"no petal named {name!r}") from None
 
-    def petals_of(self, agent_id: str) -> tuple[Petal, ...]:
-        return tuple(p for p in self.petals if p.owner == agent_id)
+    def locate(self, point: TimePoint) -> Located | None:
+        """The (petal, action, "start"|"end") of an action vertex, else None."""
+        return self._index[1].get(point)
 
-    def locate(self, point: TimePoint) -> tuple[Petal, Action, str] | None:
-        """Find the (petal, action, "start"|"end") owning an action vertex."""
-        for petal in self.petals:
-            for action in petal.actions:
-                if point is action.start:
-                    return petal, action, "start"
-                if point is action.end:
-                    return petal, action, "end"
-        return None
+    def vertex_path(self, point: TimePoint) -> str:
+        """``petal.action.start|end``, or ``Vs``/``Ve`` for the global vertices.
+
+        Labels are not petal-qualified, so this is how documents and the CLI
+        name a vertex. Raises ``UnknownTimePointError`` for any other point.
+        """
+        if point is self.start:
+            return GLOBAL_START_TOKEN
+        if point is self.end:
+            return GLOBAL_END_TOKEN
+        located = self.locate(point)
+        if located is None:
+            raise UnknownTimePointError(f"{point!r} is not a vertex of this task")
+        petal, action, side = located
+        return f"{petal.name}.{action.name}.{side}"
 
     def with_petals(self, petals: Sequence[Petal]) -> Daisy:
         """A copy with the petal tuple replaced (used after assignment)."""
@@ -425,6 +447,10 @@ def compile_to_stn(
     onto each single agent's petals matters, because agents sequence only
     their own work; two orderings that agree agent-by-agent compile to the
     same network. When omitted, petals run in declaration order.
+
+    Compiling has no side effects: the network reuses the daisy's vertices
+    and writes nothing into them, so labels stay as ``Action`` made them
+    (``Walk to Shelf.start``); ``Daisy.vertex_path`` names vertices in full.
     """
     unassigned = [p.name for p in daisy.petals if p.owner not in daisy.agent_ids]
     if unassigned:
@@ -439,10 +465,6 @@ def compile_to_stn(
     stn.add_point(daisy.start)
     for petal in daisy.petals:
         for action in petal.actions:
-            action.start.label = f"{petal.name}.{action.name}.start"
-            action.end.label = f"{petal.name}.{action.name}.end"
-            action.start.owner = petal.owner
-            action.end.owner = petal.owner
             stn.add_point(action.start)
             stn.add_point(action.end)
     stn.add_point(daisy.end)
@@ -492,3 +514,33 @@ def _transition(transition_lower: float | Mapping[str, float], owner: str) -> fl
     if gap < 0:
         raise NegativeDurationError(f"transition lower bound {gap} is negative")
     return gap
+
+
+def find_cycle(
+    nodes: Iterable[Node], successors: Callable[[Node], Iterable[Node]]
+) -> list[Node] | None:
+    """The first loop ``[n0, ..., nk, n0]`` a depth-first search meets, or None.
+
+    Roots are tried in ``nodes`` order and successors in the order given. The
+    search keeps its own stack, so paths of any length are fine.
+    """
+    state: dict[Node, bool] = {}  # True while on the current path, then False
+    for root in nodes:
+        if root in state:
+            continue
+        state[root] = True
+        path, pending = [root], [iter(successors(root))]
+        while path:
+            for node in pending[-1]:
+                on_path = state.get(node)
+                if on_path:
+                    return path[path.index(node) :] + [node]
+                if on_path is None:
+                    state[node] = True
+                    path.append(node)
+                    pending.append(iter(successors(node)))
+                    break
+            else:
+                state[path.pop()] = False
+                pending.pop()
+    return None

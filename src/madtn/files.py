@@ -31,6 +31,8 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .daisy import (
+    GLOBAL_END_TOKEN,
+    GLOBAL_START_TOKEN,
     Action,
     Agent,
     ConstraintKind,
@@ -39,16 +41,12 @@ from .daisy import (
     Petal,
     validate_daisy,
 )
-from .errors import DocumentError, MadtnError
+from .errors import DocumentError, MadtnError, UnknownTimePointError
 from .fluency import FluencyReport
 from .intervals import IntervalSet
 from .planner import CapabilityTable
 from .simulate import BehaviorProfile, DurationMode, ExecutionEvent, Trace
 from .stn import INF, TimePoint, UNASSIGNED
-
-#: Path tokens for the global vertices in constraint endpoints.
-GLOBAL_START_TOKEN = "Vs"
-GLOBAL_END_TOKEN = "Ve"
 
 
 @dataclass(frozen=True)
@@ -141,6 +139,19 @@ def parse_daisy(source: str | Mapping[str, Any]) -> DaisySpecDocument:
 def daisy_document(doc: DaisySpecDocument) -> dict[str, Any]:
     """The canonical JSON-ready form of a task document."""
     daisy = doc.daisy
+    try:
+        constraints = [
+            {
+                "kind": c.kind.value,
+                "source": daisy.vertex_path(c.source),
+                "target": daisy.vertex_path(c.target),
+                "lower": _bound_out(c.lower),
+                "upper": _bound_out(c.upper),
+            }
+            for c in daisy.constraints
+        ]
+    except UnknownTimePointError as exc:
+        raise DocumentError([f"constraint endpoint: {exc}"]) from None
     out: dict[str, Any] = {
         "agents": [{"id": a.id, "name": a.name} for a in daisy.agents],
         "petals": [
@@ -159,16 +170,7 @@ def daisy_document(doc: DaisySpecDocument) -> dict[str, Any]:
             }
             for p in daisy.petals
         ],
-        "constraints": [
-            {
-                "kind": c.kind.value,
-                "source": _vertex_path(daisy, c.source),
-                "target": _vertex_path(daisy, c.target),
-                "lower": _bound_out(c.lower),
-                "upper": _bound_out(c.upper),
-            }
-            for c in daisy.constraints
-        ],
+        "constraints": constraints,
     }
     if doc.capabilities is not None:
         out["capabilities"] = {
@@ -399,7 +401,7 @@ def parse_profiles(source: str | Mapping[str, Any]) -> dict[str, BehaviorProfile
         fields: dict[str, Any] = {}
         mode = raw.get("duration_mode")
         if mode is not None:
-            if mode not in modes:
+            if not isinstance(mode, str) or mode not in modes:
                 errors.append(
                     f"{path}.duration_mode: expected one of {sorted(modes)}, "
                     f"got {mode!r}"
@@ -628,7 +630,7 @@ def _parse_constraints(
             continue
         _reject_unknown(item, {"kind", "source", "target", "lower", "upper"}, path, errors)
         kind = item.get("kind")
-        if kind not in kinds:
+        if not isinstance(kind, str) or kind not in kinds:
             errors.append(
                 f"{path}.kind: expected one of {sorted(kinds)}, got {kind!r}"
             )
@@ -760,18 +762,6 @@ def _parse_ordering(
             continue
         names.append(item)
     return tuple(names)
-
-
-def _vertex_path(daisy: Daisy, point: TimePoint) -> str:
-    if point is daisy.start:
-        return GLOBAL_START_TOKEN
-    if point is daisy.end:
-        return GLOBAL_END_TOKEN
-    located = daisy.locate(point)
-    if located is None:
-        raise DocumentError([f"constraint endpoint {point!r} is not a task vertex"])
-    petal, action, side = located
-    return f"{petal.name}.{action.name}.{side}"
 
 
 def _bound_out(value: float) -> float | None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .daisy import Daisy, handoff_constraints
+from .daisy import Daisy, HandoffLink, handoff_constraints
 from .errors import (
     AgentCountError,
     CoverageError,
@@ -35,16 +35,8 @@ def activity_intervals(trace: Trace, agent_id: str) -> IntervalSet:
     yields the empty set; an id not on the roster raises
     ``UnknownAgentError``.
     """
-    if agent_id not in trace.agents:
-        raise UnknownAgentError(
-            f"agent {agent_id!r} is not on the trace roster {list(trace.agents)}"
-        )
-    spans = [
-        (start, end)
-        for (_, _), (agent, start, end) in _action_times(trace).items()
-        if agent == agent_id
-    ]
-    return IntervalSet.from_pairs(spans)
+    _require_on_roster(trace, agent_id)
+    return _TraceIndex(trace).activity(agent_id)
 
 
 @dataclass(frozen=True)
@@ -77,38 +69,24 @@ class IdleBreakdown:
 
 def agent_idle_time(trace: Trace, agent_id: str) -> IdleBreakdown:
     """Break down when the agent was not acting during the window."""
-    active = activity_intervals(trace, agent_id)
-    idle = window(trace) - active
-
-    petal_spans: dict[str, tuple[float, float]] = {}
-    for (petal, _), (agent, start, end) in _action_times(trace).items():
-        if agent != agent_id:
-            continue
-        if petal in petal_spans:
-            lo, hi = petal_spans[petal]
-            petal_spans[petal] = (min(lo, start), max(hi, end))
-        else:
-            petal_spans[petal] = (start, end)
-
-    within_petals = IntervalSet.from_pairs(petal_spans.values())
-    waiting = idle & within_petals
-    resting = idle - within_petals
-    return IdleBreakdown(agent=agent_id, idle=idle, waiting=waiting, resting=resting)
+    _require_on_roster(trace, agent_id)
+    index = _TraceIndex(trace)
+    return index.idle_breakdown(agent_id, window(trace) - index.activity(agent_id))
 
 
 def concurrent_activity(trace: Trace) -> IntervalSet:
     """When both agents of a two-agent trace were acting at once."""
     first, second = _exactly_two(trace)
-    return activity_intervals(trace, first) & activity_intervals(trace, second)
+    index = _TraceIndex(trace)
+    return index.activity(first) & index.activity(second)
 
 
 def concurrent_inactivity(trace: Trace) -> IntervalSet:
     """When both agents of a two-agent trace were idle at once."""
     first, second = _exactly_two(trace)
+    index = _TraceIndex(trace)
     span = window(trace)
-    idle_first = span - activity_intervals(trace, first)
-    idle_second = span - activity_intervals(trace, second)
-    return idle_first & idle_second
+    return (span - index.activity(first)) & (span - index.activity(second))
 
 
 @dataclass(frozen=True)
@@ -134,15 +112,20 @@ def petal_functional_delay(daisy: Daisy, trace: Trace) -> tuple[PetalDelay, ...]
     by several handoffs get one entry each, all with the same petal-level
     figures.
     """
-    times = _action_times(trace)
+    return _petal_delays(_TraceIndex(trace), handoff_constraints(daisy))
+
+
+def _petal_delays(
+    index: _TraceIndex, links: tuple[HandoffLink, ...]
+) -> tuple[PetalDelay, ...]:
     out: list[PetalDelay] = []
-    for link in handoff_constraints(daisy):
+    for link in links:
         source_end = max(
-            _lookup(times, link.source_petal.name, a.name)[2]
+            index.lookup(link.source_petal.name, a.name)[2]
             for a in link.source_petal.actions
         )
         target_start = min(
-            _lookup(times, link.target_petal.name, a.name)[1]
+            index.lookup(link.target_petal.name, a.name)[1]
             for a in link.target_petal.actions
         )
         out.append(
@@ -203,9 +186,14 @@ def handoff_delays(daisy: Daisy, trace: Trace) -> tuple[HandoffDelays, ...]:
     receiver may start the instant the product exists); a handoff-kind
     constraint with any other lower bound raises ``NonHandoffKindError``.
     """
-    times = _action_times(trace)
+    return _handoff_delays(_TraceIndex(trace), handoff_constraints(daisy))
+
+
+def _handoff_delays(
+    index: _TraceIndex, links: tuple[HandoffLink, ...]
+) -> tuple[HandoffDelays, ...]:
     out: list[HandoffDelays] = []
-    for link in handoff_constraints(daisy):
+    for link in links:
         if link.constraint.lower != 0.0:
             raise NonHandoffKindError(
                 f"handoff {link.source_petal.name}.{link.source_action.name} -> "
@@ -213,10 +201,10 @@ def handoff_delays(daisy: Daisy, trace: Trace) -> tuple[HandoffDelays, ...]:
                 f"bound {link.constraint.lower}; delay analysis requires 0"
             )
         target_agent = link.target_petal.owner
-        available = _lookup(times, link.source_petal.name, link.source_action.name)[2]
-        start = _lookup(times, link.target_petal.name, link.target_action.name)[1]
-        ready = _preceding_end(
-            times, trace, target_agent, link.target_petal.name, link.target_action.name
+        available = index.lookup(link.source_petal.name, link.source_action.name)[2]
+        start = index.lookup(link.target_petal.name, link.target_action.name)[1]
+        ready = index.receiver_ready(
+            target_agent, link.target_petal.name, link.target_action.name
         )
         readiness = available - ready
         if readiness > TOLERANCE:
@@ -280,12 +268,14 @@ class FluencyReport:
 
 
 def fluency_report(daisy: Daisy, trace: Trace) -> FluencyReport:
-    """Assemble the full fluency picture for a two-agent trace."""
+    """Assemble the full fluency picture for a two-agent trace, indexed once."""
     first, second = _exactly_two(trace)
+    index = _TraceIndex(trace)
     span = window(trace)
-    active = {a: activity_intervals(trace, a) for a in (first, second)}
+    active = {a: index.activity(a) for a in (first, second)}
     idle = {a: span - active[a] for a in (first, second)}
-    petal_delays = petal_functional_delay(daisy, trace)
+    links = handoff_constraints(daisy)
+    petal_delays = _petal_delays(index, links)
     delay_by_agent = {first: 0.0, second: 0.0}
     for record in petal_delays:
         delay_by_agent[record.agent] = delay_by_agent.get(record.agent, 0.0) + record.delay
@@ -294,7 +284,7 @@ def fluency_report(daisy: Daisy, trace: Trace) -> FluencyReport:
         window_start=trace.start_time,
         window_end=trace.end_time,
         makespan=trace.makespan,
-        idle=(agent_idle_time(trace, first), agent_idle_time(trace, second)),
+        idle=tuple(index.idle_breakdown(a, idle[a]) for a in (first, second)),
         concurrent_activity=active[first] & active[second],
         concurrent_inactivity=idle[first] & idle[second],
         sole_activity={
@@ -303,7 +293,7 @@ def fluency_report(daisy: Daisy, trace: Trace) -> FluencyReport:
         },
         petal_delays=petal_delays,
         delay_by_agent=delay_by_agent,
-        handoffs=handoff_delays(daisy, trace),
+        handoffs=_handoff_delays(index, links),
     )
 
 
@@ -316,50 +306,66 @@ def _exactly_two(trace: Trace) -> tuple[str, str]:
     return trace.agents[0], trace.agents[1]
 
 
-def _action_times(trace: Trace) -> dict[tuple[str, str], tuple[str, float, float]]:
-    """Index the trace as (agent, start, end) per (petal, action).
+def _require_on_roster(trace: Trace, agent_id: str) -> None:
+    if agent_id not in trace.agents:
+        raise UnknownAgentError(
+            f"agent {agent_id!r} is not on the trace roster {list(trace.agents)}"
+        )
 
-    Raises ``CoverageError`` when an action is recorded more than once.
+
+class _TraceIndex:
+    """One pass over a trace, read by every metric.
+
+    It maps (petal, action) to (agent, start, end), raising ``CoverageError``
+    on a repeat; keeps each agent's action intervals and petal spans; and
+    maps each action to when its agent finished the action before it in
+    (start, end, petal, action) order, or to the trace start.
     """
-    out: dict[tuple[str, str], tuple[str, float, float]] = {}
-    extra: list[str] = []
-    for event in trace.events:
-        key = (event.petal, event.action)
-        if key in out:
-            extra.append(f"{event.petal}.{event.action}")
-            continue
-        out[key] = (event.agent, event.start, event.end)
-    if extra:
-        raise CoverageError(missing=(), extra=tuple(sorted(extra)))
-    return out
 
+    def __init__(self, trace: Trace):
+        self._times: dict[tuple[str, str], tuple[str, float, float]] = {}
+        extra: list[str] = []
+        for event in trace.events:
+            key = (event.petal, event.action)
+            if key in self._times:
+                extra.append(f"{event.petal}.{event.action}")
+                continue
+            self._times[key] = (event.agent, event.start, event.end)
+        if extra:
+            raise CoverageError(missing=(), extra=tuple(sorted(extra)))
 
-def _lookup(
-    times: dict[tuple[str, str], tuple[str, float, float]], petal: str, action: str
-) -> tuple[str, float, float]:
-    try:
-        return times[(petal, action)]
-    except KeyError:
-        raise CoverageError(missing=(f"{petal}.{action}",))
+        self._spans: dict[str, list[tuple[float, float]]] = {}
+        self._petal_spans: dict[str, dict[str, tuple[float, float]]] = {}
+        mine: dict[str, list[tuple[float, float, tuple[str, str]]]] = {}
+        for key, (agent, start, end) in self._times.items():
+            self._spans.setdefault(agent, []).append((start, end))
+            petals = self._petal_spans.setdefault(agent, {})
+            lo, hi = petals.get(key[0], (start, end))
+            petals[key[0]] = (min(lo, start), max(hi, end))
+            mine.setdefault(agent, []).append((start, end, key))
+        self._ready: dict[tuple[str, str], float] = {}
+        for entries in mine.values():
+            previous_end = trace.start_time
+            for _, end, key in sorted(entries):
+                self._ready[key] = previous_end
+                previous_end = end
 
+    def activity(self, agent_id: str) -> IntervalSet:
+        return IntervalSet.from_pairs(self._spans.get(agent_id, ()))
 
-def _preceding_end(
-    times: dict[tuple[str, str], tuple[str, float, float]],
-    trace: Trace,
-    agent_id: str,
-    petal: str,
-    action: str,
-) -> float:
-    """End time of the agent's action just before the named one, by start order.
+    def idle_breakdown(self, agent_id: str, idle: IntervalSet) -> IdleBreakdown:
+        within = IntervalSet.from_pairs(self._petal_spans.get(agent_id, {}).values())
+        return IdleBreakdown(agent_id, idle, waiting=idle & within, resting=idle - within)
 
-    Falls back to the trace start when the named action is the agent's first.
-    """
-    mine = sorted(
-        (start, end, key)
-        for key, (agent, start, end) in times.items()
-        if agent == agent_id
-    )
-    for i, (_, _, key) in enumerate(mine):
-        if key == (petal, action):
-            return mine[i - 1][1] if i > 0 else trace.start_time
-    raise CoverageError(missing=(f"{petal}.{action}",))
+    def lookup(self, petal: str, action: str) -> tuple[str, float, float]:
+        try:
+            return self._times[(petal, action)]
+        except KeyError:
+            raise CoverageError(missing=(f"{petal}.{action}",))
+
+    def receiver_ready(self, agent_id: str, petal: str, action: str) -> float:
+        """When ``agent_id`` finished the action before the named one."""
+        entry = self._times.get((petal, action))
+        if entry is None or entry[0] != agent_id:
+            raise CoverageError(missing=(f"{petal}.{action}",))
+        return self._ready[(petal, action)]

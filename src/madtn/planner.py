@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
-from .daisy import ConstraintKind, Daisy, compile_to_stn
+from .daisy import ConstraintKind, Daisy, compile_to_stn, find_cycle
 from .errors import CyclicPrecedenceError, NoCapableAgentError
 from .stn import UNASSIGNED, solve
 
@@ -39,29 +39,7 @@ class PetalPrecedence:
         successors: dict[str, list[str]] = {p: [] for p in self.petals}
         for a, b in sorted(self.edges):
             successors[a].append(b)
-        state: dict[str, int] = {}  # 0 absent, 1 on stack, 2 done
-        stack: list[str] = []
-
-        def visit(node: str) -> list[str] | None:
-            state[node] = 1
-            stack.append(node)
-            for nxt in successors[node]:
-                if state.get(nxt, 0) == 1:
-                    return stack[stack.index(nxt) :] + [nxt]
-                if state.get(nxt, 0) == 0:
-                    found = visit(nxt)
-                    if found is not None:
-                        return found
-            stack.pop()
-            state[node] = 2
-            return None
-
-        for petal in self.petals:
-            if state.get(petal, 0) == 0:
-                found = visit(petal)
-                if found is not None:
-                    return found
-        return None
+        return find_cycle(self.petals, successors.__getitem__)
 
 
 def partial_order(daisy: Daisy) -> PetalPrecedence:
@@ -107,33 +85,37 @@ def linear_extensions(
     for a, b in precedence.edges:
         blockers[b].add(a)
 
-    yielded = 0
-    prefix: list[str] = []
-    placed: set[str] = set()
-
-    def extend() -> Iterator[tuple[str, ...]]:
-        nonlocal yielded
-        if limit is not None and yielded >= limit:
-            return
-        if len(prefix) == len(precedence.petals):
-            yielded += 1
-            yield tuple(prefix)
-            return
-        ready = sorted(
-            (
-                p
-                for p in precedence.petals
-                if p not in placed and blockers[p] <= placed
-            ),
+    def ready(placed: set[str]) -> list[str]:
+        return sorted(
+            (p for p in precedence.petals if p not in placed and blockers[p] <= placed),
             key=rank.__getitem__,
         )
-        for petal in ready:
-            prefix.append(petal)
-            placed.add(petal)
-            yield from extend()
-            placed.discard(petal)
-            prefix.pop()
-            if limit is not None and yielded >= limit:
+
+    def extend() -> Iterator[tuple[str, ...]]:
+        # An explicit stack, so long chains of petals cannot exhaust
+        # Python's recursion limit: ``choices[k]`` holds the petals still
+        # to try in slot ``k``, and ``prefix`` the petals placed so far.
+        yielded = 0
+        prefix: list[str] = []
+        placed: set[str] = set()
+        choices: list[Iterator[str]] = []
+        while limit is None or yielded < limit:
+            if len(prefix) == len(precedence.petals):
+                yield tuple(prefix)
+                yielded += 1
+            else:
+                choices.append(iter(ready(placed)))
+            # Backtrack to the deepest slot with a petal left, and place it.
+            while choices:
+                if len(prefix) == len(choices):
+                    placed.discard(prefix.pop())
+                petal = next(choices[-1], None)
+                if petal is not None:
+                    prefix.append(petal)
+                    placed.add(petal)
+                    break
+                choices.pop()
+            else:
                 return
 
     return extend()

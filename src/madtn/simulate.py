@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-from .daisy import Action, ConstraintKind, Daisy, Petal, compile_to_stn
+from .daisy import Action, ConstraintKind, Daisy, Petal, compile_to_stn, find_cycle
 from .errors import CoverageError, DeadlockError, InconsistentOrderingError
 from .stn import STN, TemporalConstraint, TimePoint, check_schedule
 
@@ -383,14 +383,14 @@ def _waiting_cycle(
     ended: dict[int, float],
 ) -> list[str]:
     """Describe the wait-for loop among unscheduled actions."""
-    pending: dict[int, tuple[str, Petal, Action]] = {}
-    predecessor: dict[int, Action] = {}
+    pending: dict[Action, Petal] = {}
+    predecessor: dict[Action, Action] = {}
     for agent_id, queue in queues.items():
         for i in range(next_index[agent_id], len(queue)):
             petal, action = queue[i]
-            pending[id(action)] = (agent_id, petal, action)
+            pending[action] = petal
             if i > next_index[agent_id]:
-                predecessor[id(action)] = queue[i - 1][1]
+                predecessor[action] = queue[i - 1][1]
 
     def waits_on(action: Action) -> list[Action]:
         out = [
@@ -398,35 +398,15 @@ def _waiting_cycle(
             for g in gates.get(id(action), ())
             if id(g.source_action) not in ended
         ]
-        if id(action) in predecessor:
-            out.append(predecessor[id(action)])
+        if action in predecessor:
+            out.append(predecessor[action])
         return out
 
-    state: dict[int, int] = {}
-    stack: list[Action] = []
-
-    def visit(action: Action) -> list[Action] | None:
-        state[id(action)] = 1
-        stack.append(action)
-        for nxt in waits_on(action):
-            if state.get(id(nxt), 0) == 1:
-                names = stack[[id(s) for s in stack].index(id(nxt)) :]
-                return names + [nxt]
-            if state.get(id(nxt), 0) == 0:
-                found = visit(nxt)
-                if found is not None:
-                    return found
-        stack.pop()
-        state[id(action)] = 2
-        return None
-
-    for _, _, action in pending.values():
-        if state.get(id(action), 0) == 0:
-            found = visit(action)
-            if found is not None:
-                return [f"{pending[id(a)][1].name}.{a.name}" for a in found]
+    cycle = find_cycle(pending, waits_on)
+    if cycle is not None:
+        return [f"{pending[a].name}.{a.name}" for a in cycle]
     # No cycle among gates: some wait references work that never runs.
-    return sorted(f"{petal.name}.{action.name}" for _, petal, action in pending.values())
+    return sorted(f"{petal.name}.{action.name}" for action, petal in pending.items())
 
 
 def validate_trace(

@@ -34,7 +34,7 @@ INF = math.inf
 #: Absolute tolerance, in seconds, for every time comparison in the package.
 TOLERANCE = 1e-9
 
-#: Owner tag for timepoints that no agent is responsible for.
+#: Owner of a petal that no agent has been assigned yet.
 UNASSIGNED = "unassigned"
 
 _uid_counter = itertools.count()
@@ -45,12 +45,13 @@ class TimePoint:
     """A named instant in a temporal network.
 
     Identity is the object itself: two points built with the same label are
-    still distinct timepoints. The ``owner`` tag records which agent is
-    responsible for the point; it is metadata only and never affects solving.
+    still distinct timepoints. The label is for display only and never
+    affects solving; a daisy's action vertices carry ``action.start`` and
+    ``action.end`` labels, and the agent responsible for one is its petal's
+    owner (``daisy.locate(point)[0].owner``).
     """
 
     label: str = ""
-    owner: str = UNASSIGNED
     uid: int = field(init=False, default_factory=lambda: next(_uid_counter))
 
     def __repr__(self) -> str:
@@ -139,9 +140,9 @@ class STN:
     def __contains__(self, point: TimePoint) -> bool:
         return point in self._members
 
-    def add_timepoint(self, label: str = "", owner: str = UNASSIGNED) -> TimePoint:
+    def add_timepoint(self, label: str = "") -> TimePoint:
         """Create a fresh timepoint, add it, and return it."""
-        point = TimePoint(label=label, owner=owner)
+        point = TimePoint(label=label)
         self.add_point(point)
         return point
 

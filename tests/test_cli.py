@@ -321,3 +321,68 @@ def test_analyze_emits_json_or_text(tmp_path, capsys):
 
     code, _, _ = run(capsys, "analyze", TASK, trace_file, "--output", "yaml")
     assert code == 2  # not a supported format
+
+
+# Long tasks: each search below is deeper than Python's default recursion
+# limit of 1 000, so a recursive search would crash with a traceback.
+LONG = 1200
+
+
+def handoff(source: str, target: str) -> dict:
+    return {"kind": "handoff", "source": source, "target": target, "lower": 0.0}
+
+
+def write_task(tmp_path, petals, constraints):
+    doc = {
+        "agents": [{"id": "x"}, {"id": "y"}],
+        "petals": petals,
+        "constraints": constraints,
+    }
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def one_action_chain(tmp_path, closed: bool) -> str:
+    petals = [
+        {"name": f"p{i}", "owner": "xy"[i % 2], "actions": [{"name": "a", "lower": 1.0}]}
+        for i in range(LONG)
+    ]
+    constraints = [handoff(f"p{i}.a.end", f"p{i + 1}.a.start") for i in range(LONG - 1)]
+    if closed:
+        constraints.append(handoff(f"p{LONG - 1}.a.end", "p0.a.start"))
+    return write_task(tmp_path, petals, constraints)
+
+
+def test_simulate_names_a_long_waiting_cycle(tmp_path, capsys):
+    half = LONG // 2
+    petals = [
+        {"name": f"p{agent}", "owner": agent,
+         "actions": [{"name": f"{agent}{i}", "lower": 1.0} for i in range(half)]}
+        for agent in "xy"
+    ]
+    task = write_task(tmp_path, petals, [
+        handoff(f"py.y{half - 1}.end", "px.x0.start"),
+        handoff(f"px.x{half - 1}.end", "py.y0.start"),
+    ])
+    code, out, err = run(capsys, "simulate", task, "--seed", "1", "--out", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: deadlocked waiting cycle: px.x0 -> py.y{half - 1} -> ")
+    assert err.count(" -> ") == LONG
+    assert "Traceback" not in err
+
+
+def test_plan_names_a_long_precedence_ring(tmp_path, capsys):
+    code, out, err = run(capsys, "plan", one_action_chain(tmp_path, closed=True))
+    assert code == 1
+    assert out == ""
+    ring = " -> ".join(f"p{i}" for i in range(LONG))
+    assert err == f"error: cyclic petal precedence: {ring} -> p0\n"
+
+
+def test_plan_orders_a_long_chain(tmp_path, capsys):
+    code, out, err = run(capsys, "plan", one_action_chain(tmp_path, closed=False))
+    assert code == 0
+    assert out == ", ".join(f"p{i}" for i in range(LONG)) + "\n"
+    assert err == ""

@@ -9,6 +9,7 @@ from madtn import (
     Agent,
     ConstraintKind,
     Daisy,
+    DaisySpecDocument,
     EmptyPetalError,
     ExternalConstraint,
     InvalidDaisyError,
@@ -16,13 +17,19 @@ from madtn import (
     MalformedOrderingError,
     NegativeDurationError,
     UnassignedPetalError,
+    UnknownTimePointError,
     build_action,
     build_petal,
     compile_to_stn,
+    daisy_document,
     earliest_schedule,
+    enumerate_orders,
+    fluency_report,
     handoff_constraints,
+    simulate,
     solve,
     validate_daisy,
+    validate_trace,
     validation_warnings,
 )
 from conftest import stn_as_tuples
@@ -274,14 +281,93 @@ def test_compile_requires_owners_and_validity():
 
 def test_compile_vertex_count_and_anchor(packaging):
     daisy = packaging.daisy
+    first = daisy.petal("Retrieve Object A").first
+    label = first.start.label
     stn = compile_to_stn(daisy)
     actions = sum(len(p.actions) for p in daisy.petals)
     assert len(stn) == 2 * actions + 2
     assert stn.anchor is daisy.start
-    # Vertices carry their petal-qualified labels and owners after compiling.
-    first = daisy.petal("Retrieve Object A").first
-    assert first.start.label == "Retrieve Object A.Walk to Shelf.start"
-    assert first.start.owner == "human"
+    # Vertices are named through the daisy; compiling leaves labels alone.
+    assert daisy.vertex_path(first.start) == "Retrieve Object A.Walk to Shelf.start"
+    assert first.start.label == label
+
+
+def shared_action_pair():
+    """Daisies P and Q that share action ``x``, owned by H in P and by R in Q."""
+    shared = build_action("x", 1.0, 2.0)
+    agents = (Agent("H"), Agent("R"))
+    pair = []
+    for name, owner, other, helper in (("P", "H", "R", "s"), ("Q", "R", "H", "t")):
+        follow = build_action(helper, 1.0, 3.0)
+        base = Daisy(
+            agents=agents,
+            petals=(
+                build_petal(name, [shared], owner=owner),
+                build_petal(helper.upper(), [follow], owner=other),
+            ),
+        )
+        pair.append(
+            Daisy(
+                agents=agents,
+                petals=base.petals,
+                constraints=(
+                    ExternalConstraint(
+                        ConstraintKind.HANDOFF, shared.end, follow.start, 0.0, INF
+                    ),
+                ),
+                start=base.start,
+                end=base.end,
+            )
+        )
+    return pair
+
+
+def model_state(daisy):
+    """Every vertex label and the canonical document of the task."""
+    labels = [daisy.start.label, daisy.end.label] + [
+        point.label
+        for petal in daisy.petals
+        for action in petal.actions
+        for point in (action.start, action.end)
+    ]
+    return labels, daisy_document(DaisySpecDocument(daisy=daisy))
+
+
+PIPELINE = {
+    "compile_to_stn": lambda d: compile_to_stn(d),
+    "solve": lambda d: solve(compile_to_stn(d)),
+    "earliest_schedule": lambda d: earliest_schedule(compile_to_stn(d)),
+    "enumerate_orders": lambda d: enumerate_orders(d),
+    "simulate": lambda d: simulate(d, seed=4),
+    "validate_trace": lambda d: validate_trace(d, simulate(d, seed=4)),
+    "fluency_report": lambda d: fluency_report(d, simulate(d, seed=4)),
+}
+
+
+@pytest.mark.parametrize("step", sorted(PIPELINE))
+def test_no_pipeline_step_mutates_the_model(packaging, step):
+    daisies = [packaging.daisy, *shared_action_pair()]
+    before = [model_state(d) for d in daisies]
+    for daisy in daisies:
+        PIPELINE[step](daisy)
+        assert [model_state(d) for d in daisies] == before
+    p, q = daisies[1:]
+    shared = p.petals[0].first
+    assert (p.vertex_path(shared.start), q.vertex_path(shared.start)) == (
+        "P.x.start",
+        "Q.x.start",
+    )
+    assert (p.locate(shared.end)[0].owner, q.locate(shared.end)[0].owner) == ("H", "R")
+
+
+def test_vertex_paths_name_every_vertex(packaging):
+    daisy = packaging.daisy
+    assert daisy.vertex_path(daisy.start) == "Vs"
+    assert daisy.vertex_path(daisy.end) == "Ve"
+    last = daisy.petals[-1].last
+    assert daisy.vertex_path(last.end) == f"{daisy.petals[-1].name}.{last.name}.end"
+    with pytest.raises(UnknownTimePointError):
+        daisy.vertex_path(build_action("stray", 1.0).start)
 
 
 def test_compiled_bounds_match_oracle_sweep():

@@ -1,10 +1,12 @@
 """Document parsing, canonical serialization, and file round trips."""
 from __future__ import annotations
 
+import copy
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from madtn import (
     GLOBAL_END_TOKEN,
@@ -420,3 +422,63 @@ def test_non_finite_numbers_are_rejected_with_their_paths():
     assert any(e.startswith("makespan[1]: expected a finite number or null") for e in errors)
     errors = failures(json.dumps(tiny_doc(makespan=[0.0, math.inf])))
     assert any(e.startswith("makespan[1]: expected a finite number or null") for e in errors)
+
+
+# Any JSON value, including the non-finite floats and oversized integers
+# Python's json module lets through.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def field_paths(node, prefix=()):
+    """The path of every value inside a decoded JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from field_paths(value, prefix + (key,))
+
+
+def replaced(document, path, value):
+    out = copy.deepcopy(document)
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return out
+
+
+def fuzz_documents():
+    task = json.loads(packaged_example_path().read_text())
+    doc = parse_daisy(task)
+    trace = simulate(doc.daisy, seed=3)
+    trace_doc = trace_document(TraceDocument(trace=trace, daisy="packaging.daisy.json"))
+    profiles = {
+        "human": {"duration_mode": "uniform", "reaction_delay": 0.5,
+                  "anticipation_probability": 0.5, "anticipation_offset": 1.0},
+        "robot": {"duration_mode": "truncated_normal", "mean_fraction": 0.4,
+                  "stddev_fraction": 0.2},
+    }
+    return [
+        (parse, document, path)
+        for parse, document in ((parse_daisy, task), (parse_trace, trace_doc),
+                                (parse_profiles, profiles))
+        for path in field_paths(document)
+    ]
+
+
+FUZZ_CASES = fuzz_documents()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FUZZ_CASES), json_values)
+def test_parsers_raise_only_document_errors(case, value):
+    parse, document, path = case
+    try:
+        parse(replaced(document, path, value))
+    except DocumentError:
+        pass
