@@ -199,6 +199,9 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    if args.limit < 0:
+        print("error: --limit must be at least 0", file=sys.stderr)
+        return 2
     doc, daisy = _load_task(args)
     assigned = None
     if doc.capabilities is not None:
@@ -224,13 +227,13 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    doc, daisy = _load_task(args)
     if args.runs < 1:
         print("error: --runs must be at least 1", file=sys.stderr)
         return 2
+    doc, daisy = _load_task(args)
     profiles = {}
     if args.profiles is not None:
-        profiles = files.parse_profiles(Path(args.profiles).read_text())
+        profiles = files.load_profiles(args.profiles)
     out_dir = Path(args.out if args.out is not None else os.environ.get(OUT_DIR_VAR, "."))
     reference = Path(args.task).name
     ordering = _chosen_ordering(args, doc)

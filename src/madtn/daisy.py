@@ -179,6 +179,11 @@ class Daisy:
                 vertices.setdefault(action.end, (petal, action, "end"))
         return petals, vertices
 
+    @functools.cached_property
+    def _violations(self) -> tuple[str, ...]:
+        """What ``validate_daisy`` reports, found once: the model is frozen."""
+        return tuple(_find_violations(self))
+
     def petal(self, name: str) -> Petal:
         try:
             return self._index[0][name]
@@ -239,8 +244,13 @@ def validate_daisy(daisy: Daisy) -> list[str]:
     membership, bound sanity, and the orientation rules for handoff and
     makespan constraints. A petal with no owner at all is legal here, since
     assignment may still be pending; compiling is where that becomes an
-    error.
+    error. The result is worked out once per daisy; each call returns a
+    fresh list.
     """
+    return list(daisy._violations)
+
+
+def _find_violations(daisy: Daisy) -> list[str]:
     violations: list[str] = []
 
     seen_agents: set[str] = set()

@@ -351,11 +351,15 @@ def dump_document(document: dict[str, Any]) -> str:
 
 
 def load_daisy(path: str | os.PathLike) -> DaisySpecDocument:
-    return parse_daisy(Path(path).read_text())
+    return parse_daisy(_read(path))
 
 
 def load_trace(path: str | os.PathLike) -> TraceDocument:
-    return parse_trace(Path(path).read_text())
+    return parse_trace(_read(path))
+
+
+def load_profiles(path: str | os.PathLike) -> dict[str, BehaviorProfile]:
+    return parse_profiles(_read(path))
 
 
 def save_document(document: dict[str, Any], path: str | os.PathLike) -> None:
@@ -431,10 +435,20 @@ def packaged_example_path() -> Path:
 
 def load_packaged_example() -> DaisySpecDocument:
     """The two-agent box-packing task used throughout the documentation."""
-    return parse_daisy(packaged_example_path().read_text())
+    return load_daisy(packaged_example_path())
 
 
 # -- parsing internals -------------------------------------------------------
+
+
+def _read(path: str | os.PathLike) -> str:
+    """A document's text; every document is UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DocumentError(
+            [f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"]
+        ) from None
 
 
 def _decode(source: str | Mapping[str, Any]) -> Mapping[str, Any]:
@@ -442,7 +456,9 @@ def _decode(source: str | Mapping[str, Any]) -> Mapping[str, Any]:
         try:
             data = json.loads(source)
         except json.JSONDecodeError as exc:
-            raise DocumentError([f"not valid JSON: {exc}"])
+            raise DocumentError([f"not valid JSON: {exc}"]) from None
+        except RecursionError:
+            raise DocumentError(["not valid JSON: nested too deeply"]) from None
     else:
         data = source
     if not isinstance(data, Mapping):

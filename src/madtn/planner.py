@@ -130,13 +130,16 @@ def enumerate_orders(daisy: Daisy, limit: int | None = 1000) -> list[tuple[str, 
     ``limit`` verified orders are returned (pass ``None`` to exhaust the
     space; the default keeps accidental factorial blowups desk-sized).
     """
-    precedence = partial_order(daisy)
+    candidates = linear_extensions(partial_order(daisy))
     verified: list[tuple[str, ...]] = []
-    for order in linear_extensions(precedence):
+    # The limit is checked before the next candidate is drawn, so a limit
+    # of 0 verifies nothing.
+    while limit is None or len(verified) < limit:
+        order = next(candidates, None)
+        if order is None:
+            break
         if solve(compile_to_stn(daisy, ordering=order)).consistent:
             verified.append(order)
-            if limit is not None and len(verified) >= limit:
-                break
     return verified
 
 

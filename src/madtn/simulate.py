@@ -1,10 +1,11 @@
 """Discrete-event execution of daisy tasks under agent behavior profiles.
 
 Each agent works through its petals in order, starting every action as soon
-as its own hands are free and all enabling work by others is done, plus an
-optional reaction delay. Durations are sampled per the agent's profile.
-Anticipatory agents may jump the gun on a handoff and begin before the
-product is actually available; the resulting trace then violates that
+as its own hands are free, its release time has passed and all enabling
+work by others is done, plus an optional reaction delay. The run keeps one
+realized time per vertex of the task. Durations are sampled per the agent's
+profile. Anticipatory agents may jump the gun on a handoff and begin before
+the product is actually available; the resulting trace then violates that
 handoff constraint, which is recorded rather than forbidden, since fluency
 analysis is about measuring such behavior, not preventing it.
 
@@ -22,9 +23,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-from .daisy import Action, ConstraintKind, Daisy, Petal, compile_to_stn, find_cycle
+from .daisy import Action, ConstraintKind, Daisy, ExternalConstraint, Petal
+from .daisy import _transition, compile_to_stn, find_cycle
 from .errors import CoverageError, DeadlockError, InconsistentOrderingError
-from .stn import STN, TemporalConstraint, TimePoint, check_schedule
+from .stn import TemporalConstraint, TimePoint, check_schedule
 
 
 class DurationMode(str, Enum):
@@ -157,202 +159,132 @@ def simulate(
     Agents missing from ``profiles`` run the punctual default. ``ordering``
     and ``transition_lower`` mean the same as in ``compile_to_stn``; the
     same values must be passed to ``validate_trace`` for a meaningful
-    feasibility verdict (simulate applies them itself for the ``feasible``
-    flag it stores).
+    feasibility verdict.
+
+    An action waits for its agent's previous action (plus the transition gap
+    when the agent switches petals) and for every constraint that can hold
+    it back: a non-negative lower bound into its start vertex, from ``Vs`` or
+    from an action vertex. Every other constraint (upper bounds, bounds into
+    end vertices or out of ``Ve``) is left to ``validate_trace``: the stored
+    ``feasible`` flag checks the realized times against the whole network.
 
     Raises ``DeadlockError`` when cross-petal waits form a cycle that no
     execution order can break.
     """
     stn = compile_to_stn(daisy, ordering=ordering, transition_lower=transition_lower)
-    profiles = dict(profiles or {})
-    order = [p.name for p in daisy.petals] if ordering is None else list(ordering)
+    profiles = profiles or {}
+    order = daisy.petals if ordering is None else [daisy.petal(name) for name in ordering]
 
     queues: dict[str, list[tuple[Petal, Action]]] = {a.id: [] for a in daisy.agents}
-    for name in order:
-        petal = daisy.petal(name)
+    for petal in order:
         for action in petal.actions:
             queues[petal.owner].append((petal, action))
 
     gates = _start_gates(daisy)
     rngs = {a.id: random.Random(f"{seed}/{a.id}") for a in daisy.agents}
     next_index = {a.id: 0 for a in daisy.agents}
-    free_time = {a.id: 0.0 for a in daisy.agents}
-    started: dict[int, float] = {}  # id(action) -> realized start
-    ended: dict[int, float] = {}
+    times: dict[TimePoint, float] = {daisy.start: 0.0}
     events: list[ExecutionEvent] = []
     agent_ids = sorted(queues)
 
-    def ready(agent_id: str) -> bool:
-        queue = queues[agent_id]
-        i = next_index[agent_id]
-        if i >= len(queue):
-            return False
-        _, action = queue[i]
-        return all(
-            id(gate.source_action) in ended
-            for gate in gates.get(id(action), ())
-        )
-
-    while True:
+    progressed = True
+    while progressed:
         progressed = False
         for agent_id in agent_ids:
-            while ready(agent_id):
-                i = next_index[agent_id]
-                petal, action = queues[agent_id][i]
-                _run_action(
-                    agent_id,
-                    petal,
-                    action,
-                    first=i == 0,
-                    new_petal=i > 0 and queues[agent_id][i - 1][0] is not petal,
-                    gates=gates.get(id(action), ()),
-                    profile=profiles.get(agent_id) or BehaviorProfile(),
-                    rng=rngs[agent_id],
-                    transition_lower=transition_lower,
-                    free_time=free_time,
-                    started=started,
-                    ended=ended,
-                    events=events,
+            queue = queues[agent_id]
+            i = next_index[agent_id]
+            while i < len(queue) and all(
+                c.source in times for c in gates.get(queue[i][1], ())
+            ):
+                petal, action = queue[i]
+                free = times[daisy.start]
+                if i > 0:
+                    previous_petal, previous = queue[i - 1]
+                    free = times[previous.end]
+                    # Repositioning costs apply between petals, never
+                    # between back-to-back actions of one petal.
+                    if previous_petal is not petal:
+                        free += _transition(transition_lower, agent_id)
+                profile = profiles.get(agent_id) or BehaviorProfile()
+                _run_action(action, free, gates.get(action, ()), times, profile, rngs[agent_id])
+                events.append(
+                    ExecutionEvent(agent=agent_id, petal=petal.name, action=action.name,
+                                   start=times[action.start], end=times[action.end])
                 )
-                next_index[agent_id] += 1
+                i += 1
                 progressed = True
-        if not progressed:
-            break
+            next_index[agent_id] = i
 
-    stuck = [a for a in agent_ids if next_index[a] < len(queues[a])]
-    if stuck:
-        raise DeadlockError(_waiting_cycle(queues, next_index, gates, ended))
+    if any(next_index[a] < len(queues[a]) for a in agent_ids):
+        raise DeadlockError(_waiting_cycle(daisy, queues, next_index, gates, times))
 
     events.sort(key=lambda e: (e.start, e.end))  # stable: ties keep causal order
-    trace = Trace(
+    times[daisy.end] = max((e.end for e in events), default=times[daisy.start])
+    return Trace(
         events=tuple(events),
         agents=tuple(a.id for a in daisy.agents),
         seed=seed,
-        feasible=True,
+        feasible=not check_schedule(stn, times),
     )
-    violations = _temporal_violations(daisy, stn, trace)
-    if violations:
-        trace = Trace(
-            events=trace.events,
-            agents=trace.agents,
-            seed=seed,
-            feasible=False,
-        )
-    return trace
 
 
-@dataclass(frozen=True)
-class _Gate:
-    """An incoming wait on another action: start after its vertex plus lower."""
+def _start_gates(daisy: Daisy) -> dict[Action, list[ExternalConstraint]]:
+    """Map each action to the constraints that hold back its start.
 
-    source_action: Action
-    source_kind: str  # which vertex of the source action gates us
-    lower: float
-    is_handoff: bool
-
-
-def _start_gates(daisy: Daisy) -> dict[int, tuple[_Gate, ...]]:
-    """Map each action (by id) to the cross-action waits on its start vertex.
-
-    Only constraints with a non-negative lower bound whose source is an
-    action vertex can hold an action back during execution; constraints
-    targeting end vertices or bounding from above cannot be honored by a
-    causal scheduler and are left to trace validation instead.
+    These are the constraints with a non-negative lower bound into an action
+    start vertex, from ``Vs`` or from an action vertex. Constraints into end
+    vertices, out of ``Ve`` or bounding only from above cannot be honored by
+    a causal scheduler and are left to ``validate_trace`` instead.
     """
-    out: dict[int, list[_Gate]] = {}
+    out: dict[Action, list[ExternalConstraint]] = {}
     for c in daisy.constraints:
         if c.lower < 0:
             continue
         target_at = daisy.locate(c.target)
         if target_at is None or target_at[2] != "start":
             continue
-        source_at = daisy.locate(c.source)
-        if source_at is None:
-            continue  # the global start contributes nothing past time zero
-        gate = _Gate(
-            source_action=source_at[1],
-            source_kind=source_at[2],
-            lower=c.lower,
-            is_handoff=c.kind is ConstraintKind.HANDOFF,
-        )
-        out.setdefault(id(target_at[1]), []).append(gate)
-    return {key: tuple(value) for key, value in out.items()}
+        if c.source is daisy.start or daisy.locate(c.source) is not None:
+            out.setdefault(target_at[1], []).append(c)
+    return out
 
 
 def _run_action(
-    agent_id: str,
-    petal: Petal,
     action: Action,
-    first: bool,
-    new_petal: bool,
-    gates: tuple[_Gate, ...],
+    free: float,
+    gates: Sequence[ExternalConstraint],
+    times: dict[TimePoint, float],
     profile: BehaviorProfile,
     rng: random.Random,
-    transition_lower: float | Mapping[str, float],
-    free_time: dict[str, float],
-    started: dict[int, float],
-    ended: dict[int, float],
-    events: list[ExecutionEvent],
 ) -> None:
-    # Repositioning cost applies when the agent switches petals, never
-    # between back-to-back actions of the same petal.
-    gap = 0.0
-    if new_petal and not first:
-        if isinstance(transition_lower, Mapping):
-            gap = float(transition_lower.get(agent_id, 0.0))
-        else:
-            gap = float(transition_lower)
-
-    base = free_time[agent_id] + gap
-
+    """Start ``action`` once its agent is ``free`` and its gates allow it."""
+    enabled = free
     handoff_ready = None
-    other_waits = []
-    for gate in gates:
-        source_time = (
-            ended[id(gate.source_action)]
-            if gate.source_kind == "end"
-            else started[id(gate.source_action)]
-        )
-        if gate.is_handoff:
+    for c in gates:
+        if c.kind is ConstraintKind.HANDOFF:
             # Handoff lowers are zero by validation; the product exists at
             # the source end time. Anticipation acts on the last of these.
-            if handoff_ready is None or source_time > handoff_ready:
-                handoff_ready = source_time
+            if handoff_ready is None or times[c.source] > handoff_ready:
+                handoff_ready = times[c.source]
         else:
-            other_waits.append(source_time + gate.lower)
+            enabled = max(enabled, times[c.source] + c.lower)
 
     # Fixed per-action draw order keeps substreams aligned: anticipation
     # trigger, head start, reaction, duration. Draws that cannot matter are
     # skipped entirely rather than consumed.
-    if handoff_ready is not None and profile.anticipation_probability > 0:
-        if rng.random() < profile.anticipation_probability:
-            head_start = (
-                rng.uniform(0.0, profile.anticipation_offset)
-                if profile.anticipation_offset > 0
-                else 0.0
-            )
-            handoff_ready -= head_start
-
-    enabled = base
     if handoff_ready is not None:
+        triggered = profile.anticipation_probability > 0 and (
+            rng.random() < profile.anticipation_probability
+        )
+        if triggered and profile.anticipation_offset > 0:
+            handoff_ready -= rng.uniform(0.0, profile.anticipation_offset)
         enabled = max(enabled, handoff_ready)
-    for wait in other_waits:
-        enabled = max(enabled, wait)
 
     reaction = (
         rng.uniform(0.0, profile.reaction_delay) if profile.reaction_delay > 0 else 0.0
     )
     start = enabled + reaction
-    duration = _draw_duration(action, profile, rng)
-    end = start + duration
-
-    started[id(action)] = start
-    ended[id(action)] = end
-    free_time[agent_id] = end
-    events.append(
-        ExecutionEvent(agent=agent_id, petal=petal.name, action=action.name,
-                       start=start, end=end)
-    )
+    times[action.start] = start
+    times[action.end] = start + _draw_duration(action, profile, rng)
 
 
 def _draw_duration(
@@ -377,10 +309,11 @@ def _draw_duration(
 
 
 def _waiting_cycle(
+    daisy: Daisy,
     queues: dict[str, list[tuple[Petal, Action]]],
     next_index: dict[str, int],
-    gates: dict[int, tuple[_Gate, ...]],
-    ended: dict[int, float],
+    gates: dict[Action, list[ExternalConstraint]],
+    times: dict[TimePoint, float],
 ) -> list[str]:
     """Describe the wait-for loop among unscheduled actions."""
     pending: dict[Action, Petal] = {}
@@ -394,9 +327,9 @@ def _waiting_cycle(
 
     def waits_on(action: Action) -> list[Action]:
         out = [
-            g.source_action
-            for g in gates.get(id(action), ())
-            if id(g.source_action) not in ended
+            daisy.locate(c.source)[1]
+            for c in gates.get(action, ())
+            if c.source not in times
         ]
         if action in predecessor:
             out.append(predecessor[action])
@@ -425,22 +358,20 @@ def validate_trace(
     a feasible trace.
     """
     stn = compile_to_stn(daisy, ordering=ordering, transition_lower=transition_lower)
-    return _temporal_violations(daisy, stn, trace)
-
-
-def _temporal_violations(daisy: Daisy, stn: STN, trace: Trace) -> list[TemporalConstraint]:
     for before, after in zip(trace.events, trace.events[1:]):
         if after.start < before.start:
             raise InconsistentOrderingError(
                 f"trace events are not in start order: {after} follows {before}"
             )
 
-    expected: dict[tuple[str, str], Action] = {}
-    for petal in daisy.petals:
-        for action in petal.actions:
-            expected[(petal.name, action.name)] = action
-
-    schedule: dict[TimePoint, float] = {}
+    expected: dict[tuple[str, str], tuple[Petal, Action]] = {
+        (petal.name, action.name): (petal, action)
+        for petal in daisy.petals
+        for action in petal.actions
+    }
+    times: dict[TimePoint, float] = {
+        daisy.start: trace.start_time, daisy.end: trace.end_time
+    }
     seen: set[tuple[str, str]] = set()
     extra: list[str] = []
     for event in trace.events:
@@ -448,17 +379,14 @@ def _temporal_violations(daisy: Daisy, stn: STN, trace: Trace) -> list[TemporalC
         if key not in expected or key in seen:
             extra.append(f"{event.petal}.{event.action}")
             continue
-        owner = daisy.petal(event.petal).owner
-        if event.agent != owner:
+        petal, action = expected[key]
+        if event.agent != petal.owner:
             extra.append(f"{event.petal}.{event.action} (agent {event.agent!r})")
             continue
         seen.add(key)
-        schedule[expected[key].start] = event.start
-        schedule[expected[key].end] = event.end
+        times[action.start] = event.start
+        times[action.end] = event.end
     missing = [f"{petal}.{action}" for (petal, action) in expected if (petal, action) not in seen]
     if missing or extra:
         raise CoverageError(missing=tuple(missing), extra=tuple(extra))
-
-    schedule[daisy.start] = trace.start_time
-    schedule[daisy.end] = trace.end_time
-    return check_schedule(stn, schedule)
+    return check_schedule(stn, times)

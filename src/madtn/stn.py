@@ -32,6 +32,7 @@ if TYPE_CHECKING:
 INF = math.inf
 
 #: Absolute tolerance, in seconds, for every time comparison in the package.
+#: Constraint checks add a few units in the last place of the times compared.
 TOLERANCE = 1e-9
 
 #: Owner of a petal that no agent has been assigned yet.
@@ -89,8 +90,16 @@ class TemporalConstraint:
             )
 
     def satisfied_by(self, source_time: float, target_time: float) -> bool:
+        """Whether the two times meet the bounds, up to rounding.
+
+        The slack is ``TOLERANCE`` plus a few units in the last place of the
+        larger time, so the verdict holds at any time origin: float spacing
+        alone is about 2.4e-7 s at epoch timestamps (1.7e9 s).
+        """
+        scale = max(abs(source_time), abs(target_time))
+        slack = TOLERANCE + 4 * math.ulp(scale) if scale < INF else TOLERANCE
         diff = target_time - source_time
-        return self.lower - TOLERANCE <= diff <= self.upper + TOLERANCE
+        return self.lower - slack <= diff <= self.upper + slack
 
     def __repr__(self) -> str:
         return (
@@ -489,8 +498,8 @@ def earliest_schedule(stn: STN) -> Schedule:
 def check_schedule(stn: STN, schedule: Mapping[TimePoint, float]) -> list[TemporalConstraint]:
     """Return every constraint the schedule violates (empty means valid).
 
-    Satisfaction is checked to within ``TOLERANCE`` seconds, boundaries
-    inclusive.
+    Satisfaction is checked to within ``TOLERANCE`` seconds plus a few units
+    in the last place of the times compared, boundaries inclusive.
     """
     for point in stn.timepoints:
         if point not in schedule:

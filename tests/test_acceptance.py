@@ -255,8 +255,8 @@ def shifted_copy(trace, offset):
     )
 
 
-def test_criterion_6_metric_identities(packaging):
-    daisy = packaging.daisy
+def criterion_6_traces(daisy):
+    """A punctual run plus busy and anticipatory runs on seeds 0-3."""
     eager = BehaviorProfile(
         duration_mode=DurationMode.UNIFORM,
         anticipation_probability=1.0,
@@ -269,6 +269,12 @@ def test_criterion_6_metric_identities(packaging):
         traces.append(
             simulate(daisy, profiles={"human": eager, "robot": eager}, seed=seed)
         )
+    return traces
+
+
+def test_criterion_6_metric_identities(packaging):
+    daisy = packaging.daisy
+    traces = criterion_6_traces(daisy)
     assert any(not t.feasible for t in traces)  # anticipatory runs included
 
     for trace in traces:
@@ -304,6 +310,17 @@ def test_criterion_6_metric_identities(packaging):
             assert abs(after.functional_delay - before.functional_delay) <= 1e-9
             assert after.state is before.state
     print(f"criterion 6: identities hold on {len(traces)} traces, shift-invariant")
+
+
+@pytest.mark.parametrize("offset", [1e3, 1e6, 1.7e9])
+def test_verdicts_hold_at_any_time_origin(packaging, offset):
+    daisy = packaging.daisy
+    assert validate_trace(daisy, shifted_copy(simulate(daisy), offset)) == []
+    for trace in criterion_6_traces(daisy):
+        moved = shifted_copy(trace, offset)
+        assert validate_trace(daisy, moved) == validate_trace(daisy, trace)
+        states = [h.state for h in fluency_report(daisy, trace).handoffs]
+        assert [h.state for h in fluency_report(daisy, moved).handoffs] == states
 
 
 def test_criterion_7_handoff_delay_cases(packaging):

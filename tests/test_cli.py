@@ -1,9 +1,14 @@
 """End-to-end checks of the command line interface."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from madtn import (
     BehaviorProfile,
@@ -14,6 +19,8 @@ from madtn import (
     simulate,
     solve,
 )
+
+from fuzzing import field_paths, json_values, replaced, valid_documents
 
 TASK = str(packaged_example_path())
 
@@ -207,6 +214,18 @@ def test_plan_lists_orders_then_the_assignment(capsys, packaging):
     assert out.splitlines()[:4] == orders[:4]
 
 
+def test_plan_limit_counts_verified_orders_and_may_not_be_negative(capsys):
+    code, out, err = run(capsys, "plan", TASK, "--limit", "0")
+    assert code == 0
+    assert err == ""
+    assert out.splitlines()[0] == "assignment:"
+
+    code, out, err = run(capsys, "plan", TASK, "--limit", "-3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --limit must be at least 0\n"
+
+
 def test_plan_without_capabilities_uses_the_declared_owners(tmp_path, capsys):
     doc = json.loads(packaged_example_path().read_text())
     del doc["capabilities"]
@@ -386,3 +405,66 @@ def test_plan_orders_a_long_chain(tmp_path, capsys):
     assert code == 0
     assert out == ", ".join(f"p{i}" for i in range(LONG)) + "\n"
     assert err == ""
+
+
+def test_undecodable_files_are_reported_by_name(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(bytes.fromhex("fffe7b7d"))
+    for argv in (
+        ("validate", str(bad)),
+        ("analyze", TASK, str(bad)),
+        ("simulate", TASK, "--seed", "0", "--profiles", str(bad), "--out", str(tmp_path)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err == f"error: {bad}: not UTF-8 text (invalid start byte at byte 0)\n"
+
+
+# Every subcommand with the documents it reads; "{out}" is the trace directory.
+CLI_READS = {
+    "validate": (["validate", "{task}"], ["task"]),
+    "compile": (["compile", "{task}"], ["task"]),
+    "schedule": (["schedule", "{task}"], ["task"]),
+    "plan": (["plan", "{task}", "--limit", "5"], ["task"]),
+    "simulate": (
+        ["simulate", "{task}", "--seed", "0", "--profiles", "{profiles}", "--out", "{out}"],
+        ["task", "profiles"],
+    ),
+    "analyze": (["analyze", "{task}", "{trace}", "--output", "text"], ["task", "trace"]),
+}
+VALID = valid_documents()
+
+
+def document_bytes(kind):
+    """Arbitrary bytes, arbitrary JSON, or a valid document with one field replaced."""
+    valid = VALID[kind]
+    return st.one_of(
+        st.binary(max_size=32),
+        json_values.map(lambda value: json.dumps(value).encode()),
+        st.tuples(st.sampled_from(list(field_paths(valid))), json_values).map(
+            lambda case: json.dumps(replaced(valid, *case)).encode()
+        ),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([(name, kind) for name, (_, kinds) in CLI_READS.items() for kind in kinds]),
+    st.data(),
+)
+def test_cli_returns_a_status_for_any_document(case, data):
+    command, kind = case
+    content = data.draw(document_bytes(kind), label=kind)
+    with tempfile.TemporaryDirectory() as scratch:
+        paths = {"out": scratch}
+        for name, document in VALID.items():
+            paths[name] = str(Path(scratch) / f"{name}.json")
+            Path(paths[name]).write_text(json.dumps(document))
+        Path(paths[kind]).write_bytes(content)
+        argv = [arg.format(**paths) for arg in CLI_READS[command][0]]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(argv)
+    assert code in (0, 1), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

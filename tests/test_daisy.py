@@ -279,6 +279,19 @@ def test_compile_requires_owners_and_validity():
         compile_to_stn(bad)
 
 
+def test_validation_is_worked_out_once_and_handed_out_fresh():
+    bad = two_petal_daisy(handoff_lower=0.5)
+    first, second = validate_daisy(bad), validate_daisy(bad)
+    assert first and first == second
+    assert first is not second
+    first.clear()
+    assert validate_daisy(bad) == second
+    with pytest.raises(InvalidDaisyError):
+        compile_to_stn(bad)
+    with pytest.raises(InvalidDaisyError):
+        compile_to_stn(bad)
+
+
 def test_compile_vertex_count_and_anchor(packaging):
     daisy = packaging.daisy
     first = daisy.petal("Retrieve Object A").first

@@ -1,7 +1,6 @@
 """Document parsing, canonical serialization, and file round trips."""
 from __future__ import annotations
 
-import copy
 import json
 import math
 
@@ -21,6 +20,7 @@ from madtn import (
     dump_document,
     fluency_report,
     load_daisy,
+    load_profiles,
     load_trace,
     packaged_example_path,
     parse_daisy,
@@ -32,6 +32,8 @@ from madtn import (
     trace_document,
     validate_daisy,
 )
+
+from fuzzing import field_paths, json_values, replaced, valid_documents
 
 
 def tiny_doc(**overrides):
@@ -180,6 +182,7 @@ def test_vertex_paths_are_checked():
 def test_invalid_json_and_non_objects_are_document_errors():
     assert any("not valid JSON" in e for e in failures("{none of this parses"))
     assert any("top level" in e for e in failures("[1, 2, 3]"))
+    assert failures("[" * 100_000) == ["not valid JSON: nested too deeply"]
 
 
 def test_constraint_defaults():
@@ -390,6 +393,26 @@ def test_parse_profiles():
     assert any(e.startswith("cat") for e in errors)
 
 
+def test_documents_are_read_as_utf8(tmp_path):
+    profiles_path = tmp_path / "profiles.json"
+    profiles_path.write_text('{"human": {"reaction_delay": 0.5}}', encoding="utf-8")
+    assert load_profiles(profiles_path)["human"].reaction_delay == 0.5
+
+    task = tiny_doc(comments="Überprüfung ✓")
+    task_path = tmp_path / "task.json"
+    task_path.write_bytes(json.dumps(task, ensure_ascii=False).encode("utf-8"))
+    assert load_daisy(task_path).comments == "Überprüfung ✓"
+
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(b"\xff\xfe{}")
+    for load in (load_daisy, load_trace, load_profiles):
+        with pytest.raises(DocumentError) as excinfo:
+            load(undecodable)
+        assert excinfo.value.errors == [
+            f"{undecodable}: not UTF-8 text (invalid start byte at byte 0)"
+        ]
+
+
 def test_infinite_floats_never_reach_the_json_layer(packaging):
     # The packaged task has open-ended bounds; they must emit as null.
     text = dump_document(daisy_document(packaging))
@@ -424,50 +447,13 @@ def test_non_finite_numbers_are_rejected_with_their_paths():
     assert any(e.startswith("makespan[1]: expected a finite number or null") for e in errors)
 
 
-# Any JSON value, including the non-finite floats and oversized integers
-# Python's json module lets through.
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
-    max_leaves=6,
-)
-
-
-def field_paths(node, prefix=()):
-    """The path of every value inside a decoded JSON document."""
-    items = node.items() if isinstance(node, dict) else enumerate(node)
-    for key, value in items:
-        yield prefix + (key,)
-        if isinstance(value, (dict, list)):
-            yield from field_paths(value, prefix + (key,))
-
-
-def replaced(document, path, value):
-    out = copy.deepcopy(document)
-    parent = out
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
-    return out
-
-
 def fuzz_documents():
-    task = json.loads(packaged_example_path().read_text())
-    doc = parse_daisy(task)
-    trace = simulate(doc.daisy, seed=3)
-    trace_doc = trace_document(TraceDocument(trace=trace, daisy="packaging.daisy.json"))
-    profiles = {
-        "human": {"duration_mode": "uniform", "reaction_delay": 0.5,
-                  "anticipation_probability": 0.5, "anticipation_offset": 1.0},
-        "robot": {"duration_mode": "truncated_normal", "mean_fraction": 0.4,
-                  "stddev_fraction": 0.2},
-    }
+    documents = valid_documents()
     return [
-        (parse, document, path)
-        for parse, document in ((parse_daisy, task), (parse_trace, trace_doc),
-                                (parse_profiles, profiles))
-        for path in field_paths(document)
+        (parse, documents[kind], path)
+        for parse, kind in ((parse_daisy, "task"), (parse_trace, "trace"),
+                            (parse_profiles, "profiles"))
+        for path in field_paths(documents[kind])
     ]
 
 

@@ -134,6 +134,11 @@ def test_enumerate_orders_returns_only_consistent_extensions(packaging):
     assert orders[0] == tuple(p.name for p in daisy.petals)
 
 
+def test_a_zero_limit_verifies_nothing(packaging):
+    assert enumerate_orders(packaging.daisy, limit=0) == []
+    assert list(linear_extensions(partial_order(packaging.daisy), limit=0)) == []
+
+
 def test_enumerate_orders_drops_orders_the_network_rejects(packaging):
     # Capping the makespan at 8 seconds leaves only orders where the human
     # retrieves A before fetching C and the robot wraps B before packing A;

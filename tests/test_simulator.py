@@ -1,5 +1,14 @@
-"""Execution semantics: punctual runs, sampling, anticipation, validation."""
+"""Execution semantics: punctual runs, sampling, anticipation, validation.
+
+The packaged task's trace documents for three profile sets and seeds 0-4
+are recorded in ``tests/golden/`` and must come out byte for byte. After an
+intended change to simulation output, regenerate them with
+``PYTHONPATH=src python tests/test_simulator.py``.
+"""
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -24,10 +33,20 @@ from madtn import (
     simulate,
     validate_trace,
 )
+from madtn.files import (
+    TraceDocument,
+    dump_document,
+    load_packaged_example,
+    packaged_example_path,
+    parse_daisy,
+    trace_document,
+)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def test_punctual_run_matches_the_earliest_schedule(packaging):
-    daisy = packaging.daisy
+def punctual_earliest_run(daisy):
+    """A punctual run, checked against the earliest schedule and the network."""
     trace = simulate(daisy)
     schedule = earliest_schedule(compile_to_stn(daisy))
     for petal in daisy.petals:
@@ -36,8 +55,13 @@ def test_punctual_run_matches_the_earliest_schedule(packaging):
             assert event.start == pytest.approx(schedule[action.start], abs=1e-9)
             assert event.end == pytest.approx(schedule[action.end], abs=1e-9)
     assert trace.feasible
-    assert trace.makespan == pytest.approx(7.5)
     assert validate_trace(daisy, trace) == []
+    return trace
+
+
+def test_punctual_run_matches_the_earliest_schedule(packaging):
+    trace = punctual_earliest_run(packaging.daisy)
+    assert trace.makespan == pytest.approx(7.5)
 
 
 def test_events_come_out_sorted_and_queryable(packaging):
@@ -65,6 +89,41 @@ def busy_profiles():
             duration_mode=DurationMode.TRUNCATED_NORMAL, reaction_delay=0.3
         ),
     }
+
+
+def golden_profiles() -> dict[str, dict[str, BehaviorProfile]]:
+    eager = BehaviorProfile(
+        duration_mode=DurationMode.UNIFORM,
+        reaction_delay=0.2,
+        anticipation_probability=0.5,
+        anticipation_offset=2.0,
+    )
+    return {
+        "punctual": {},
+        "busy": busy_profiles(),
+        "eager": {"human": eager, "robot": eager},
+    }
+
+
+def golden_text(daisy, profile: str, seed: int) -> str:
+    trace = simulate(daisy, profiles=golden_profiles()[profile], seed=seed)
+    document = TraceDocument(trace=trace, daisy="packaging.daisy.json")
+    return dump_document(trace_document(document))
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("profile", ["punctual", "busy", "eager"])
+def test_simulate_reproduces_its_recorded_traces(packaging, profile, seed):
+    expected = (GOLDEN / f"packaging-{profile}-{seed}.json").read_bytes()
+    assert golden_text(packaging.daisy, profile, seed).encode() == expected
+
+
+def test_release_times_hold_actions_back():
+    data = json.loads(packaged_example_path().read_text())
+    release = next(c for c in data["constraints"] if c["source"] == "Vs")
+    release["lower"] = 3.0
+    trace = punctual_earliest_run(parse_daisy(data).daisy)
+    assert trace.time_of("Prepare and Pack Object B", "Wrap Object B", "start") == 3.0
 
 
 def test_traces_are_reproducible_bit_for_bit(packaging):
@@ -294,3 +353,11 @@ def test_events_must_run_forward():
         ExecutionEvent(agent="x", petal="p", action="a", start=2.0, end=1.0)
     with pytest.raises(ValueError):
         ExecutionEvent(agent="x", petal="p", action="a", start=float("nan"), end=1.0)
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    task = load_packaged_example().daisy
+    for name in golden_profiles():
+        for run in range(5):
+            (GOLDEN / f"packaging-{name}-{run}.json").write_text(golden_text(task, name, run))

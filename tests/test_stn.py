@@ -333,6 +333,18 @@ def test_check_schedule_tolerates_boundary_noise():
     assert check_schedule(stn, {a: 0.0, b: 2.0 + 5e-9}) != []
 
 
+def test_constraint_slack_grows_with_the_times_compared():
+    a, b = TimePoint("a"), TimePoint("b")
+    c = TemporalConstraint(a, b, 0.3, 1.0)
+    for origin in (0.0, 1e3, 1e6, 1.7e9):
+        assert c.satisfied_by(origin, origin + 0.3)
+        assert c.satisfied_by(origin + 0.7, origin + 1.7)
+        assert not c.satisfied_by(origin, origin + 0.3 - 1e-5)
+        assert not c.satisfied_by(origin, origin + 1.0 + 1e-5)
+    assert not c.satisfied_by(0.0, 0.3 - 5e-9)  # small times keep TOLERANCE
+    assert not c.satisfied_by(0.0, INF)
+
+
 def test_distance_graph_is_read_only():
     stn = stn_from_tuples(2, [(0, 1, 0.0, 1.0)])
     graph = solve(stn)
