@@ -24,7 +24,7 @@ from .errors import (
     UnassignedPetalError,
     UnknownTimePointError,
 )
-from .stn import INF, STN, UNASSIGNED, TimePoint
+from .stn import INF, STN, UNASSIGNED, TemporalConstraint, TimePoint
 
 #: Path tokens for the global vertices in constraint endpoints.
 GLOBAL_START_TOKEN = "Vs"
@@ -436,6 +436,8 @@ def compile_to_stn(
     daisy: Daisy,
     ordering: Sequence[str] | None = None,
     transition_lower: float | Mapping[str, float] = 0.0,
+    *,
+    sequenced: bool = True,
 ) -> STN:
     """Compile a valid, fully assigned daisy to a simple temporal network.
 
@@ -447,7 +449,8 @@ def compile_to_stn(
       work inside a petal costs nothing),
     * ``[0, +inf)`` from the global start into each petal's first action and
       from each petal's last action out to the global end,
-    * ``[t, +inf)`` between an agent's consecutive petals, and
+    * ``[t, +inf)`` between an agent's consecutive petals
+      (``sequencing_constraint``), and
     * every external constraint verbatim,
 
     where ``t`` is the owning agent's transition lower bound (0 by default;
@@ -456,7 +459,11 @@ def compile_to_stn(
     ``ordering`` gives petal names in execution order. Only its projection
     onto each single agent's petals matters, because agents sequence only
     their own work; two orderings that agree agent-by-agent compile to the
-    same network. When omitted, petals run in declaration order.
+    same network. When omitted, petals run in declaration order. With
+    ``sequenced=False`` the agents' petals are left unsequenced and
+    ``ordering`` and ``transition_lower`` go unused: the result is the
+    order-free network that every ordering extends by its sequencing
+    constraints alone.
 
     Compiling has no side effects: the network reuses the daisy's vertices
     and writes nothing into them, so labels stay as ``Action`` made them
@@ -468,8 +475,6 @@ def compile_to_stn(
     violations = validate_daisy(daisy)
     if violations:
         raise InvalidDaisyError(violations)
-
-    ordered = _ordered_petals(daisy, ordering)
 
     stn = STN()
     stn.add_point(daisy.start)
@@ -488,11 +493,13 @@ def compile_to_stn(
             stn.constrain(before.end, after.start, 0.0, INF)
         stn.constrain(petal.last.end, daisy.end, 0.0, INF)
 
-    for agent in daisy.agents:
-        mine = [p for p in ordered if p.owner == agent.id]
-        gap = _transition(transition_lower, agent.id)
-        for before, after in zip(mine, mine[1:]):
-            stn.constrain(before.last.end, after.first.start, gap, INF)
+    if sequenced:
+        ordered = _ordered_petals(daisy, ordering)
+        for agent in daisy.agents:
+            mine = [p for p in ordered if p.owner == agent.id]
+            gap = _transition(transition_lower, agent.id)
+            for before, after in zip(mine, mine[1:]):
+                stn.add_constraint(sequencing_constraint(before, after, gap))
 
     if not daisy.petals:
         stn.constrain(daisy.start, daisy.end, 0.0, INF)
@@ -501,6 +508,19 @@ def compile_to_stn(
         stn.constrain(c.source, c.target, c.lower, c.upper)
 
     return stn
+
+
+def sequencing_constraint(
+    before: Petal, after: Petal, gap: float = 0.0
+) -> TemporalConstraint:
+    """``[gap, +inf)`` from the end of ``before`` to the start of ``after``.
+
+    This is what runs ``after`` as its agent's next petal once ``before`` is
+    done; ``compile_to_stn`` adds one per consecutive pair of an agent's
+    petals, and ``enumerate_orders`` one per petal it places after another
+    of the same owner.
+    """
+    return TemporalConstraint(before.last.end, after.first.start, gap, INF)
 
 
 def _ordered_petals(daisy: Daisy, ordering: Sequence[str] | None) -> list[Petal]:
@@ -521,6 +541,10 @@ def _transition(transition_lower: float | Mapping[str, float], owner: str) -> fl
         gap = float(transition_lower.get(owner, 0.0))
     else:
         gap = float(transition_lower)
+    # NaN passes every comparison and +inf admits no finite gap, so both
+    # are caught here rather than as the bounds of an internal constraint.
+    if math.isnan(gap) or gap == INF:
+        raise InvertedBoundsError(f"transition lower bound {gap} is not a finite time")
     if gap < 0:
         raise NegativeDurationError(f"transition lower bound {gap} is negative")
     return gap

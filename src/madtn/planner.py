@@ -4,7 +4,8 @@ The planner works at petal granularity. Cross-petal constraints with a
 strictly positive lower bound, and every handoff regardless of bounds,
 induce a precedence relation between petals; candidate executions are the
 linear extensions of that relation, each verified against the compiled
-temporal network. Assignment is a separate concern handled by a greedy
+temporal network by adding its sequencing constraints to the unsequenced
+network, solved once. Assignment is a separate concern handled by a greedy
 sweep over a capability table.
 """
 from __future__ import annotations
@@ -12,9 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
-from .daisy import ConstraintKind, Daisy, compile_to_stn, find_cycle
+from .daisy import (
+    ConstraintKind,
+    Daisy,
+    Petal,
+    compile_to_stn,
+    find_cycle,
+    sequencing_constraint,
+)
 from .errors import CyclicPrecedenceError, NoCapableAgentError
-from .stn import UNASSIGNED, solve
+from .stn import UNASSIGNED, add_arc, solve
 
 
 @dataclass(frozen=True)
@@ -129,16 +137,66 @@ def enumerate_orders(daisy: Daisy, limit: int | None = 1000) -> list[tuple[str, 
     result is exactly the set of orders that admit a schedule. At most
     ``limit`` verified orders are returned (pass ``None`` to exhaust the
     space; the default keeps accidental factorial blowups desk-sized).
+
+    Orders differ only in how each agent's petals are sequenced, so the
+    task is compiled and solved once without sequencing, and a candidate is
+    checked by adding its sequencing constraints to that solved network
+    with ``add_arc``: one arc for each petal placed after another petal of
+    the same owner. A stack holds the arc each placed petal added. The next
+    candidate pops it back to the prefix both share and places only the
+    rest, and once a prefix closes a negative cycle, every candidate that
+    shares it is rejected with no solver work. A cyclic precedence raises
+    ``CyclicPrecedenceError`` before anything is compiled, and a limit of 0
+    or less compiles nothing.
     """
     candidates = linear_extensions(partial_order(daisy))
+    if limit is not None and limit <= 0:
+        return []
+    graph = solve(compile_to_stn(daisy, sequenced=False))
+    if not graph.consistent:
+        return []
+    arcs, potential = graph.arcs(), list(graph.potential)
+    latest: dict[str, Petal | None] = {}  # each owner's last placed petal
+    # Per placed petal: the petal, its owner's petal before it, and the
+    # tail of the arc it added (-1 for none).
+    placed: list[tuple[Petal, Petal | None, int]] = []
+    previous: tuple[str, ...] = ()
+    rejected_at: int | None = None  # the placement that closed a negative cycle
     verified: list[tuple[str, ...]] = []
-    # The limit is checked before the next candidate is drawn, so a limit
-    # of 0 verifies nothing.
+    # The limit is checked before the next candidate is drawn.
     while limit is None or len(verified) < limit:
         order = next(candidates, None)
         if order is None:
             break
-        if solve(compile_to_stn(daisy, ordering=order)).consistent:
+        shared = 0
+        for name, previous_name in zip(order, previous):
+            if name != previous_name:
+                break
+            shared += 1
+        previous = order
+        if rejected_at is not None and rejected_at < shared:
+            continue
+        rejected_at = None
+        while len(placed) > shared:
+            petal, before, tail = placed.pop()
+            latest[petal.owner] = before
+            if tail >= 0:
+                arcs[tail].pop()  # removing an arc keeps the potential feasible
+        for position in range(shared, len(order)):
+            petal = daisy.petal(order[position])
+            before = latest.get(petal.owner)
+            tail = -1
+            if before is not None:
+                # A lower bound with no upper one is the single arc
+                # target -> source weighing -lower.
+                c = sequencing_constraint(before, petal)
+                tail = graph.position(c.target)
+                if not add_arc(arcs, potential, tail, graph.position(c.source), -c.lower):
+                    rejected_at = position
+                    break
+            latest[petal.owner] = petal
+            placed.append((petal, before, tail))
+        else:
             verified.append(order)
     return verified
 

@@ -10,9 +10,18 @@ as read-only by every solving function, so a built network can be shared
 freely across threads. A solved ``DistanceGraph`` fills its row cache
 lazily; two threads asking for the same row may both compute it, but they
 store equal values, so a graph can be shared across threads too.
+
+The labels of that first pass are kept as ``DistanceGraph.potential``: no
+arc's reduced cost ``potential[u] + w - potential[v]`` is below
+``-TOLERANCE``. ``add_arc`` extends a consistent arc set one arc at a time
+from such a potential, lowering only the labels the new arc reaches
+(incremental consistency, Cesta & Oddi 1996), and dropping arcs keeps a
+potential feasible. ``enumerate_orders`` checks its candidate orders this
+way instead of solving each one.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -195,6 +204,10 @@ class DistanceGraph:
     source is asked about and caches the row. Distances exist only for a
     consistent network; querying an inconsistent one raises
     ``InconsistentNetworkError``.
+
+    ``potential`` holds one label per point, indexed like ``points``, from
+    the pass that settled consistency: a feasible potential of the arcs,
+    ready for ``add_arc``. It is None for an inconsistent network.
     """
 
     def __init__(
@@ -203,21 +216,31 @@ class DistanceGraph:
         index: dict[TimePoint, int],
         successors: list[list[tuple[int, float]]],
         predecessors: list[list[tuple[int, float]]],
-        consistent: bool,
+        potential: list[float] | None,
     ):
         self.points = points
-        self.consistent = consistent
+        self.consistent = potential is not None
+        self.potential = potential
         self._index = index
         self._successors = successors
         self._predecessors = predecessors
         self._rows: dict[int, list[float]] = {}
         self._matrix = None
 
-    def _position(self, point: TimePoint) -> int:
+    def position(self, point: TimePoint) -> int:
+        """The index of ``point`` in ``points``, ``potential`` and ``arcs()``."""
         try:
             return self._index[point]
         except KeyError:
             raise UnknownTimePointError(f"{point!r} is not in this distance graph")
+
+    def arcs(self) -> list[list[tuple[int, float]]]:
+        """A fresh copy of the arcs out of each point, to extend with ``add_arc``.
+
+        ``arcs()[i]`` lists ``(j, w)`` pairs, each bounding
+        ``time(points[j]) - time(points[i])`` from above by ``w``.
+        """
+        return [list(out) for out in self._successors]
 
     def _row(self, i: int) -> list[float]:
         """``d(i, j)`` for every ``j``, from one pass over the successor arcs."""
@@ -246,11 +269,11 @@ class DistanceGraph:
         return self._matrix
 
     def distance(self, source: TimePoint, target: TimePoint) -> float:
-        return self._row(self._position(source))[self._position(target)]
+        return self._row(self.position(source))[self.position(target)]
 
     def bounds(self, source: TimePoint, target: TimePoint) -> tuple[float, float]:
         """Tightest implied ``[lower, upper]`` on ``time(target) - time(source)``."""
-        i, j = self._position(source), self._position(target)
+        i, j = self.position(source), self.position(target)
         lower = -self._row(j)[i] + 0.0  # +0.0 normalizes -0.0
         upper = self._row(i)[j] + 0.0
         return lower, upper
@@ -289,8 +312,58 @@ def solve(stn: STN) -> DistanceGraph:
         successors[tail].append((head, weight))
         predecessors[head].append((tail, weight))
     # A virtual source with a zero arc to every point: all labels start at 0.
-    consistent = self_consistent and _settle(successors, [0.0] * n, list(range(n)))
-    return DistanceGraph(points, index, successors, predecessors, consistent)
+    labels = [0.0] * n
+    consistent = self_consistent and _settle(successors, labels, list(range(n)))
+    return DistanceGraph(
+        points, index, successors, predecessors, labels if consistent else None
+    )
+
+
+def add_arc(
+    successors: list[list[tuple[int, float]]],
+    potential: list[float],
+    tail: int,
+    head: int,
+    weight: float,
+) -> bool:
+    """Add ``tail -> head`` to a consistent arc set; False on a negative cycle.
+
+    ``successors[u]`` lists the ``(v, w)`` arcs out of ``u``, and
+    ``potential`` must be feasible for them: no reduced cost
+    ``potential[u] + w - potential[v]`` below ``-TOLERANCE``, as
+    ``DistanceGraph.potential`` and ``DistanceGraph.arcs()`` are. The labels
+    the new arc lowers fall from ``head`` outward, largest fall first, as in
+    Dijkstra's algorithm on the reduced costs (Ramalingam & Reps 1996;
+    Cesta & Oddi 1996); a label falls only by more than ``TOLERANCE``, as in
+    ``_settle``. Should ``tail``'s own label fall, the new arc closes a
+    cycle weighing below ``-TOLERANCE``: nothing changes and the verdict is
+    False. Otherwise the arc is appended to ``successors[tail]``, the fallen
+    labels are written into ``potential`` and the verdict is True. Removing
+    arcs keeps a potential feasible, so ``successors[tail].pop()`` takes the
+    last added arc back off.
+    """
+    start = potential[tail] + weight
+    if start < potential[head] - TOLERANCE:
+        if head == tail:
+            return False
+        lowered = {head: start}
+        heap = [(start - potential[head], head)]  # (label change, vertex)
+        while heap:
+            change, u = heapq.heappop(heap)
+            du = lowered[u]
+            if du - potential[u] < change:
+                continue  # u fell further after this entry was pushed
+            for v, w in successors[u]:
+                label = du + w
+                if label < lowered.get(v, potential[v]) - TOLERANCE:
+                    if v == tail:
+                        return False
+                    lowered[v] = label
+                    heapq.heappush(heap, (label - potential[v], v))
+        for v, label in lowered.items():
+            potential[v] = label
+    successors[tail].append((head, weight))
+    return True
 
 
 def _single_source(adjacency: list[list[tuple[int, float]]], source: int) -> list[float]:
@@ -484,7 +557,7 @@ def earliest_schedule(stn: STN) -> Schedule:
     if not graph.consistent:
         raise InconsistentNetworkError("inconsistent network has no schedule")
     # d(i, anchor) for every i: one pass from the anchor over reversed arcs.
-    to_anchor = _single_source(graph._predecessors, graph._position(stn.anchor))
+    to_anchor = _single_source(graph._predecessors, graph.position(stn.anchor))
     schedule: Schedule = {}
     for point, distance_to_anchor in zip(graph.points, to_anchor):
         if distance_to_anchor == INF:

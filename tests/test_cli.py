@@ -193,6 +193,18 @@ def test_compile_accounts_for_transition_time(capsys, packaging):
     assert lower > 7.5
 
 
+@pytest.mark.parametrize("command", ["compile", "schedule", "simulate"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_transition_names_the_flag(tmp_path, capsys, command, value):
+    extra = ["--seed", "1", "--out", str(tmp_path)] if command == "simulate" else []
+    code, out, err = run(capsys, command, TASK, "--transition", value, *extra)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith(f"error: transition lower bound {value} ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_plan_lists_orders_then_the_assignment(capsys, packaging):
     code, out, err = run(capsys, "plan", TASK)
     assert code == 0

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
@@ -14,6 +16,8 @@ from madtn import (
     Daisy,
     ExternalConstraint,
     NoCapableAgentError,
+    TimePoint,
+    UnassignedPetalError,
     build_action,
     build_petal,
     compile_to_stn,
@@ -23,6 +27,7 @@ from madtn import (
     partial_order,
     solve,
 )
+from madtn import planner
 
 
 def test_fixture_precedence_is_the_handoff_web(packaging):
@@ -241,3 +246,137 @@ def test_fixture_capabilities_reproduce_the_shipped_owners(packaging):
     assert [p.owner for p in assigned.petals] == [
         p.owner for p in packaging.daisy.petals
     ]
+
+
+# -- incremental verification against the brute-force filter ------------------
+
+
+def brute_orders(daisy):
+    """Every linear extension whose compiled network is consistent."""
+    return [
+        order
+        for order in linear_extensions(partial_order(daisy))
+        if solve(compile_to_stn(daisy, ordering=order)).consistent
+    ]
+
+
+def dyadic(rng, low, high):
+    return rng.randint(8 * low, 8 * high) / 8
+
+
+def random_daisy(rng):
+    """1-3 agents, 1-6 petals of 1-3 actions, and random cross-petal constraints.
+
+    Bounds are multiples of 1/8, so every path sum is exact and verdicts
+    never rest on rounding. Handoffs carry upper bounds or none, ``other``
+    constraints may have negative lower and infinite upper bounds, and a
+    makespan cap is optional.
+    """
+    agents = tuple(Agent(f"a{k}") for k in range(rng.randint(1, 3)))
+    petals = []
+    for k in range(rng.randint(1, 6)):
+        actions = []
+        for j in range(rng.randint(1, 3)):
+            lower = dyadic(rng, 0, 3)
+            upper = INF if rng.random() < 0.3 else lower + dyadic(rng, 0, 2)
+            actions.append(build_action(f"x{j}", lower, upper))
+        petals.append(build_petal(f"p{k}", actions, owner=rng.choice(agents).id))
+    actions = [(petal, action) for petal in petals for action in petal.actions]
+    constraints = []
+    for _ in range(rng.randint(0, len(petals) + 2)):
+        (p, a), (q, b) = rng.sample(actions, 2) if len(actions) > 1 else (actions[0],) * 2
+        if p is not q and rng.random() < 0.5:
+            upper = INF if rng.random() < 0.5 else dyadic(rng, 0, 4)
+            constraints.append(
+                ExternalConstraint(ConstraintKind.HANDOFF, a.end, b.start, 0.0, upper)
+            )
+        else:
+            source = rng.choice([a.start, a.end])
+            target = rng.choice([b.start, b.end])
+            lower = dyadic(rng, -4, 4)
+            upper = INF if rng.random() < 0.4 else lower + dyadic(rng, 0, 4)
+            constraints.append(
+                ExternalConstraint(ConstraintKind.OTHER, source, target, lower, upper)
+            )
+    start, end = TimePoint("task.start"), TimePoint("task.end")
+    if rng.random() < 0.5:
+        cap = dyadic(rng, 1, 4 * len(petals))
+        constraints.append(ExternalConstraint(ConstraintKind.MAKESPAN, start, end, 0.0, cap))
+    return Daisy(agents, tuple(petals), tuple(constraints), start=start, end=end)
+
+
+def test_enumerate_orders_equals_the_brute_force_filter():
+    rng = random.Random(0x0D3)
+    seen = {"cyclic": 0, "none": 0, "some": 0, "all": 0, "many": 0}
+    for _ in range(1000):
+        daisy = random_daisy(rng)
+        try:
+            expected = brute_orders(daisy)
+        except CyclicPrecedenceError as error:
+            seen["cyclic"] += 1
+            for limit in (0, 1, 3, None):
+                with pytest.raises(CyclicPrecedenceError) as excinfo:
+                    enumerate_orders(daisy, limit=limit)
+                assert excinfo.value.cycle == error.cycle
+            continue
+        candidates = sum(1 for _ in linear_extensions(partial_order(daisy)))
+        seen["none" if not expected else "all" if len(expected) == candidates else "some"] += 1
+        seen["many"] += candidates >= 24
+        for limit in (0, 1, 3, None):
+            cut = expected if limit is None else expected[:limit]
+            assert enumerate_orders(daisy, limit=limit) == cut, (limit, daisy)
+    # Every kind of case must occur or the comparison proves little.
+    assert min(seen.values()) >= 20, seen
+
+
+def test_precedence_cycles_are_raised_before_compile_errors():
+    unowned = chained_daisy(lower=0.5)
+    unowned = unowned.with_petals(
+        [build_petal("first", unowned.petals[0].actions)] + list(unowned.petals[1:])
+    )
+    assert enumerate_orders(unowned, limit=0) == []
+    with pytest.raises(UnassignedPetalError):
+        enumerate_orders(unowned, limit=1)
+    a, b = unowned.petals[0].first, unowned.petals[1].first
+    ring = Daisy(
+        agents=unowned.agents,
+        petals=unowned.petals,
+        constraints=unowned.constraints
+        + (ExternalConstraint(ConstraintKind.HANDOFF, b.end, a.start, 0.0, INF),),
+        start=unowned.start,
+        end=unowned.end,
+    )
+    for limit in (0, 1, None):
+        with pytest.raises(CyclicPrecedenceError):
+            enumerate_orders(ring, limit=limit)
+
+
+def test_enumerate_orders_compiles_and_solves_once(monkeypatch):
+    # Six one-action petals, three per agent, no precedence: 720 candidates.
+    # ``h2`` must end by 3 s, so it cannot run last of the human's petals.
+    durations = {"h0": 2.0, "h1": 2.0, "h2": 1.0, "r0": 1.0, "r1": 2.0, "r2": 3.0}
+    petals = tuple(
+        build_petal(name, [build_action("work", lower, lower)], owner=name[0])
+        for name, lower in durations.items()
+    )
+    start = TimePoint("task.start")
+    deadline = ExternalConstraint(
+        ConstraintKind.OTHER, start, petals[2].last.end, -INF, 3.0
+    )
+    daisy = Daisy((Agent("h"), Agent("r")), petals, (deadline,), start=start)
+    expected = brute_orders(daisy)
+    assert len(expected) == 480
+
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(planner, "compile_to_stn", counting("compile", planner.compile_to_stn))
+    monkeypatch.setattr(planner, "solve", counting("solve", planner.solve))
+    assert enumerate_orders(daisy, limit=None) == expected
+    assert calls == {"compile": 1, "solve": 1}

@@ -28,6 +28,7 @@ from madtn import (
     minimal_network,
     solve,
 )
+from madtn.stn import TOLERANCE, add_arc
 from conftest import stn_as_tuples, stn_from_tuples
 from oracles import (
     brute_consistent,
@@ -216,6 +217,50 @@ def test_cycles_within_tolerance_are_consistent():
     assert not solve(cycle_weighing(-2e-9)).consistent
     assert solve(stn_from_tuples(1, [(0, 0, 5e-10, 1.0)])).consistent
     assert not solve(stn_from_tuples(1, [(0, 0, 2e-9, 1.0)])).consistent
+
+
+def test_add_arc_matches_solve_arc_by_arc():
+    rng = random.Random(0xA2C)
+    seen = {"rejected": 0, "lowered": 0, "popped": 0, "self": 0}
+
+    def feasible(successors, potential):
+        return all(
+            potential[u] + w - potential[v] >= -TOLERANCE
+            for u, out in enumerate(successors)
+            for v, w in out
+        )
+
+    for _ in range(300):
+        n, constraints = random_dyadic_case(rng, max_points=20)
+        arcs = [(i, j, upper) for i, j, _, upper in constraints if upper != INF]
+        arcs += [(j, i, -lower) for i, j, lower, _ in constraints if lower != -INF]
+        rng.shuffle(arcs)
+        graph = solve(stn_from_tuples(n, []))
+        successors, potential = graph.arcs(), list(graph.potential)
+        added: list[tuple[int, int, float]] = []
+        for tail, head, weight in arcs:
+            network = [(u, v, -INF, w) for u, v, w in added + [(tail, head, weight)]]
+            expected = solve(stn_from_tuples(n, network)).consistent
+            before = (potential[:], [out[:] for out in successors])
+            verdict = add_arc(successors, potential, tail, head, weight)
+            assert verdict == expected, (n, added, (tail, head, weight))
+            seen["self"] += tail == head
+            if verdict:
+                added.append((tail, head, weight))
+                seen["lowered"] += potential != before[0]
+            else:
+                # A rejected arc leaves the arc set and the potential as they were.
+                seen["rejected"] += 1
+                assert (potential, successors) == before
+            assert feasible(successors, potential)
+            if added and rng.random() < 0.2:
+                for _ in range(rng.randint(1, len(added))):
+                    u, v, w = added.pop()
+                    assert successors[u].pop() == (v, w)
+                    seen["popped"] += 1
+                assert feasible(successors, potential)
+    # Every kind of step must actually occur or the comparison proves little.
+    assert min(seen.values()) >= 20, seen
 
 
 def test_import_and_solve_leave_numpy_unloaded():
