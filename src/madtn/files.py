@@ -363,11 +363,18 @@ def load_profiles(path: str | os.PathLike) -> dict[str, BehaviorProfile]:
 
 
 def save_document(document: dict[str, Any], path: str | os.PathLike) -> None:
-    """Write a document atomically: never leaves a half-written file behind."""
+    """Write a document atomically: never leaves a half-written file behind.
+
+    A directory that cannot take the file is named in the error, not the
+    temporary file the write goes through.
+    """
     target = Path(path)
-    fd, scratch = tempfile.mkstemp(
-        dir=target.parent or Path("."), prefix=f".{target.name}.", suffix=".tmp"
-    )
+    try:
+        fd, scratch = tempfile.mkstemp(
+            dir=target.parent, prefix=f".{target.name}.", suffix=".tmp"
+        )
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(target.parent)) from None
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(dump_document(document))

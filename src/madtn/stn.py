@@ -1,23 +1,49 @@
 """Simple temporal networks: representation, consistency, and schedules.
 
 A network is a set of timepoints plus difference constraints
-``lower <= time(target) - time(source) <= upper`` (seconds). Solving runs
-single-source shortest paths over the induced sparse distance graph: one
-pass from a virtual source decides consistency (a negative cycle means no
-schedule exists), and further passes from one timepoint answer distance
-queries on demand. Networks are mutable while being built and are treated
-as read-only by every solving function, so a built network can be shared
-freely across threads. A solved ``DistanceGraph`` fills its row cache
-lazily; two threads asking for the same row may both compute it, but they
-store equal values, so a graph can be shared across threads too.
+``lower <= time(target) - time(source) <= upper`` (seconds). Each bound
+becomes an arc of a sparse distance graph, and one routine, ``_fall``,
+finds every shortest path in it: Dijkstra's algorithm on the reduced costs
+``potential[u] + w - potential[v]`` of a feasible potential (Johnson's
+reweighting), run outward from one vertex whose label has just fallen.
 
-The labels of that first pass are kept as ``DistanceGraph.potential``: no
-arc's reduced cost ``potential[u] + w - potential[v]`` is below
-``-TOLERANCE``. ``add_arc`` extends a consistent arc set one arc at a time
-from such a potential, lowering only the labels the new arc reaches
-(incremental consistency, Cesta & Oddi 1996), and dropping arcs keeps a
-potential feasible. ``enumerate_orders`` checks its candidate orders this
-way instead of solving each one.
+* ``solve`` starts from a zero potential, as if a virtual source had a
+  zero arc to every point, and inserts the arcs one at a time with
+  ``add_arc``, which lowers only the labels the new arc reaches
+  (incremental consistency, Cesta & Oddi 1996; Ramalingam & Reps 1996).
+  Arcs go in vertex by vertex, in reverse postorder of a depth-first
+  search over the arcs that weigh at most zero, along which labels first
+  fall: a vertex's outgoing arcs are then not yet in place when its label
+  falls, so the fall stops there. In constraint order, a chain listed
+  backwards would carry every fall down the whole chain, and a search over
+  every arc would walk a chain of upper bounds against its falls. The
+  labels are kept as ``DistanceGraph.potential``, and
+  ``enumerate_orders`` extends them with ``add_arc`` instead of solving
+  each candidate order.
+* A distance row runs from its source over the arcs. ``earliest_schedule``
+  runs from the anchor over the reversed arcs with the potential negated,
+  which gives each reversed arc the reduced cost of its forward arc.
+  Labels are path sums, never reduced sums shifted back.
+
+A label falls only by more than ``TOLERANCE``. A cycle weighing at least
+``-TOLERANCE``, such as a zero-weight cycle that rounding left a few ulps
+negative, therefore lowers no label and never makes a network
+inconsistent; the price is that a distance may exceed the exact one by up
+to ``TOLERANCE`` per arc of its path. A potential is then feasible only to
+within ``TOLERANCE`` per arc, so a cycle of several arcs can weigh below
+``-TOLERANCE`` while none of its arcs has a reduced cost below that, such
+as three arcs of -0.9 ns. A fall entering such a cycle would circle it
+forever. Instead, a label whose path would reach one arc per point is left
+standing, because that path runs round a cycle weighing below
+``-TOLERANCE``; every run ends, and ``add_arc`` rejects its arc. Whether a
+cycle within ``TOLERANCE`` per arc of zero is found at all depends on the
+falls that reach it, so the verdict on one can go either way.
+
+Networks are mutable while being built and are treated as read-only by
+every solving function, so a built network can be shared freely across
+threads. A solved ``DistanceGraph`` fills its row cache lazily; two
+threads asking for the same row may both compute it, but they store equal
+values, so a graph can be shared across threads too.
 """
 from __future__ import annotations
 
@@ -25,7 +51,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 from .errors import (
     InconsistentNetworkError,
@@ -34,9 +60,6 @@ from .errors import (
     UnboundedScheduleError,
     UnknownTimePointError,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 INF = math.inf
 
@@ -199,15 +222,15 @@ class STN:
 class DistanceGraph:
     """Tightest bounds ``d(i, j)`` on ``time(j) - time(i)``, answered on demand.
 
-    Built by ``solve``, which settles consistency. Each distance query runs
-    one single-source pass from the query's source the first time that
-    source is asked about and caches the row. Distances exist only for a
+    Built by ``solve``, which settles consistency. The first query about a
+    source runs one pass from it over the arcs, reweighted by
+    ``potential``, and caches the row. Distances exist only for a
     consistent network; querying an inconsistent one raises
     ``InconsistentNetworkError``.
 
     ``potential`` holds one label per point, indexed like ``points``, from
-    the pass that settled consistency: a feasible potential of the arcs,
-    ready for ``add_arc``. It is None for an inconsistent network.
+    the insertions that settled consistency: a feasible potential of the
+    arcs, ready for ``add_arc``. It is None for an inconsistent network.
     """
 
     def __init__(
@@ -225,7 +248,6 @@ class DistanceGraph:
         self._successors = successors
         self._predecessors = predecessors
         self._rows: dict[int, list[float]] = {}
-        self._matrix = None
 
     def position(self, point: TimePoint) -> int:
         """The index of ``point`` in ``points``, ``potential`` and ``arcs()``."""
@@ -248,25 +270,12 @@ class DistanceGraph:
         if row is None:
             if not self.consistent:
                 raise InconsistentNetworkError("an inconsistent network has no distances")
-            row = _single_source(self._successors, i)
+            row = [INF] * len(self.points)
+            fallen, _ = _fall(self._successors, self.potential, row, i, 0.0)
+            for j, label in fallen.items():
+                row[j] = label
             self._rows[i] = row
         return row
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The full read-only ``n x n`` distance matrix, built on first use.
-
-        One row per timepoint; this is the only place the package imports
-        numpy.
-        """
-        if self._matrix is None:
-            import numpy as np
-
-            n = len(self.points)
-            matrix = np.array([self._row(i) for i in range(n)], dtype=float).reshape(n, n)
-            matrix.flags.writeable = False
-            self._matrix = matrix
-        return self._matrix
 
     def distance(self, source: TimePoint, target: TimePoint) -> float:
         return self._row(self.position(source))[self.position(target)]
@@ -283,11 +292,13 @@ def solve(stn: STN) -> DistanceGraph:
     """Build the network's distance graph and decide its consistency.
 
     Always returns a graph; inspect ``DistanceGraph.consistent`` for the
-    verdict. Deciding consistency costs one single-source run from a virtual
-    source over the sparse arcs, usually a few passes over them; distances
-    are computed later, one source at a time, as they are asked for.
-    Cycles weighing at least ``-TOLERANCE``, such as zero-weight cycles that
-    rounding leaves slightly negative, never make a network inconsistent.
+    verdict. From a zero potential, every arc is inserted with ``add_arc``,
+    vertex by vertex in the order the module docstring gives, and the
+    network is consistent unless an insertion closes a negative cycle.
+    Distances are computed later, one source at a time, as they are asked
+    for. Cycles weighing at least ``-TOLERANCE``, such as zero-weight cycles
+    that rounding leaves slightly negative, never make a network
+    inconsistent.
     """
     points = stn.timepoints
     n = len(points)
@@ -311,12 +322,43 @@ def solve(stn: STN) -> DistanceGraph:
     for (tail, head), weight in weights.items():
         successors[tail].append((head, weight))
         predecessors[head].append((tail, weight))
-    # A virtual source with a zero arc to every point: all labels start at 0.
-    labels = [0.0] * n
-    consistent = self_consistent and _settle(successors, labels, list(range(n)))
-    return DistanceGraph(
-        points, index, successors, predecessors, labels if consistent else None
+    potential = [0.0] * n
+    inserted: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    consistent = self_consistent and all(
+        add_arc(inserted, potential, tail, head, weight)
+        for tail in _insertion_order(successors)
+        for head, weight in successors[tail]
     )
+    return DistanceGraph(
+        points, index, successors, predecessors, potential if consistent else None
+    )
+
+
+def _insertion_order(successors: list[list[tuple[int, float]]]) -> list[int]:
+    """Every vertex, in reverse postorder of a depth-first search.
+
+    The search follows the arcs weighing at most zero, the only ones that
+    can lower a label of the zero potential.
+    """
+    seen = [False] * len(successors)
+    postorder: list[int] = []
+    for root in range(len(successors)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [(root, iter(successors[root]))]
+        while stack:
+            u, out = stack[-1]
+            for v, w in out:
+                if w <= 0 and not seen[v]:
+                    seen[v] = True
+                    stack.append((v, iter(successors[v])))
+                    break
+            else:
+                stack.pop()
+                postorder.append(u)
+    postorder.reverse()
+    return postorder
 
 
 def add_arc(
@@ -332,12 +374,12 @@ def add_arc(
     ``potential`` must be feasible for them: no reduced cost
     ``potential[u] + w - potential[v]`` below ``-TOLERANCE``, as
     ``DistanceGraph.potential`` and ``DistanceGraph.arcs()`` are. The labels
-    the new arc lowers fall from ``head`` outward, largest fall first, as in
-    Dijkstra's algorithm on the reduced costs (Ramalingam & Reps 1996;
-    Cesta & Oddi 1996); a label falls only by more than ``TOLERANCE``, as in
-    ``_settle``. Should ``tail``'s own label fall, the new arc closes a
+    the new arc lowers fall from ``head`` outward, largest fall first
+    (``_fall``). Should ``tail``'s own label fall, the new arc closes a
     cycle weighing below ``-TOLERANCE``: nothing changes and the verdict is
-    False. Otherwise the arc is appended to ``successors[tail]``, the fallen
+    False. So it is when a fall runs round such a cycle elsewhere, which a
+    potential feasible only to within ``TOLERANCE`` per arc can hide.
+    Otherwise the arc is appended to ``successors[tail]``, the fallen
     labels are written into ``potential`` and the verdict is True. Removing
     arcs keeps a potential feasible, so ``successors[tail].pop()`` takes the
     last added arc back off.
@@ -346,177 +388,55 @@ def add_arc(
     if start < potential[head] - TOLERANCE:
         if head == tail:
             return False
-        lowered = {head: start}
-        heap = [(start - potential[head], head)]  # (label change, vertex)
-        while heap:
-            change, u = heapq.heappop(heap)
-            du = lowered[u]
-            if du - potential[u] < change:
-                continue  # u fell further after this entry was pushed
-            for v, w in successors[u]:
-                label = du + w
-                if label < lowered.get(v, potential[v]) - TOLERANCE:
-                    if v == tail:
-                        return False
-                    lowered[v] = label
-                    heapq.heappush(heap, (label - potential[v], v))
+        lowered, settled = _fall(successors, potential, potential, head, start, tail)
+        if not settled:
+            return False
         for v, label in lowered.items():
             potential[v] = label
     successors[tail].append((head, weight))
     return True
 
 
-def _single_source(adjacency: list[list[tuple[int, float]]], source: int) -> list[float]:
-    """Shortest distances from ``source`` over ``adjacency`` (a consistent graph)."""
-    dist = [INF] * len(adjacency)
-    dist[source] = 0.0
-    _settle(adjacency, dist, [source])
-    return dist
+def _fall(
+    arcs: list[list[tuple[int, float]]],
+    potential: list[float],
+    labels: list[float],
+    source: int,
+    start: float,
+    stop: int = -1,
+) -> tuple[dict[int, float], bool]:
+    """The labels that fall when ``labels[source]`` falls to ``start``.
 
-
-def _settle(
-    adjacency: list[list[tuple[int, float]]], dist: list[float], labeled: list[int]
-) -> bool:
-    """Lower ``dist`` in place to shortest distances; False on a negative cycle.
-
-    Bellman–Ford in Goldberg–Radzik passes. ``labeled`` holds the vertices
-    whose label fell since they were last scanned. Each pass scans, in
-    topological order of the admissible graph, every vertex reachable from
-    them, so a chain settles in one pass instead of one per arc, and a
-    negative cycle is caught in the first pass that finds it admissible.
-
-    A label falls only by more than ``TOLERANCE``. A cycle weighing at least
-    ``-TOLERANCE``, such as a zero-weight cycle that rounding left a few ulps
-    negative, therefore lowers no label and never makes the network
-    inconsistent; the price is that a distance may exceed the exact one by
-    up to ``TOLERANCE`` per arc of its path. Without negative cycles labels
-    settle in a few passes; if they still fall after one pass per vertex,
-    the verdict rests on the cycles among the arcs that last lowered a label.
+    Dijkstra's algorithm over ``arcs``, keyed by each new label less its
+    vertex's ``potential``, so a feasible potential keeps the keys in order.
+    A label falls when a path undercuts it by more than ``TOLERANCE``.
+    Returns the fallen labels, keyed by vertex and not yet written into
+    ``labels``, and whether they settled. They have not if ``stop``'s label
+    falls, which ends the run, or if a path would reach ``len(labels)``
+    arcs. Such a path runs round a cycle weighing below ``-TOLERANCE``; its
+    last label is left standing, so every run ends.
     """
-    n = len(adjacency)
-    parent = [-1] * n
-    parent_weight = [0.0] * n
-    for _ in range(n + 1):
-        order = _admissible_order(adjacency, dist, labeled)
-        if order is None:
-            return False
-        fell = [False] * n
-        labeled = []
-        for u in order:
-            du = dist[u]
-            for v, w in adjacency[u]:
-                if du + w < dist[v] - TOLERANCE:
-                    dist[v] = du + w
-                    parent[v] = u
-                    parent_weight[v] = w
-                    if not fell[v]:
-                        fell[v] = True
-                        labeled.append(v)
-        if not labeled:
-            return True
-    return all(
-        weight >= -TOLERANCE for weight in _functional_cycle_weights(parent, parent_weight)
-    )
-
-
-#: Larger than any discovery number, so emitted vertices never lower ``low``.
-_CLOSED = math.inf
-
-
-def _admissible_order(
-    adjacency: list[list[tuple[int, float]]], dist: list[float], labeled: list[int]
-) -> list[int] | None:
-    """Vertices to scan in one pass, in topological order; None on a negative cycle.
-
-    An arc is admissible when its reduced cost ``dist[u] + w - dist[v]`` is at
-    most 0, and it lowers a label when that cost is below ``-TOLERANCE``.
-    Tarjan's depth-first search follows admissible arcs from the labeled
-    vertices that have an arc lowering a label and groups what it reaches
-    into strongly connected components, which it emits in reverse
-    topological order. Every cycle of admissible arcs lies inside one
-    component and weighs the sum of its reduced costs, so an arc inside a
-    component whose cost is below ``-TOLERANCE`` closes a cycle at least
-    that negative. A component held together by cycles of zero weight, up
-    to rounding, is scanned as one block.
-    """
-    n = len(adjacency)
-    number = [0] * n  # discovery number; 0 while unseen, _CLOSED once emitted
-    low = [0] * n
-    open_: list[int] = []  # reached vertices whose component is still open
-    order: list[int] = []
-    count = 0
-    for root in labeled:
-        if number[root]:
-            continue
-        d_root = dist[root]
-        if not any(d_root + w < dist[v] - TOLERANCE for v, w in adjacency[root]):
-            continue
-        count += 1
-        number[root] = low[root] = count
-        open_.append(root)
-        path, arcs = [root], [iter(adjacency[root])]
-        while path:
-            u = path[-1]
-            du = dist[u]
-            for v, w in arcs[-1]:
-                if du + w <= dist[v]:
-                    if not number[v]:
-                        count += 1
-                        number[v] = low[v] = count
-                        open_.append(v)
-                        path.append(v)
-                        arcs.append(iter(adjacency[v]))
-                        break
-                    if number[v] < low[u]:
-                        low[u] = number[v]
-            else:
-                path.pop()
-                arcs.pop()
-                if path and low[u] < low[path[-1]]:
-                    low[path[-1]] = low[u]
-                if low[u] != number[u]:
+    limit = len(labels)
+    lowered = {source: start}
+    heap = [(start - potential[source], source, 1)]  # (key, vertex, arcs to its heads)
+    settled = True
+    push, pop = heapq.heappush, heapq.heappop
+    while heap:
+        key, u, hops = pop(heap)
+        du = lowered[u]
+        if du - potential[u] < key:
+            continue  # u fell further after this entry was pushed
+        for v, w in arcs[u]:
+            label = du + w
+            if label < lowered.get(v, labels[v]) - TOLERANCE:
+                if v == stop:
+                    return lowered, False
+                if hops == limit:
+                    settled = False
                     continue
-                start = len(open_) - 1
-                while open_[start] != u:
-                    start -= 1
-                component = open_[start:]
-                del open_[start:]
-                for x in component:
-                    number[x] = _CLOSED
-                if len(component) > 1 and _negative_arc_inside(adjacency, dist, component):
-                    return None
-                order.extend(reversed(component))
-    order.reverse()
-    return order
-
-
-def _negative_arc_inside(
-    adjacency: list[list[tuple[int, float]]], dist: list[float], component: list[int]
-) -> bool:
-    """Whether an arc between two vertices of ``component`` costs below -TOLERANCE."""
-    members = set(component)
-    for u in component:
-        du = dist[u]
-        for v, w in adjacency[u]:
-            if v in members and du + w < dist[v] - TOLERANCE:
-                return True
-    return False
-
-
-def _functional_cycle_weights(parent: list[int], parent_weight: list[float]):
-    """Weight of each cycle in the graph of arcs ``parent[v] -> v``."""
-    state = [0] * len(parent)  # 0 unseen, 1 on the current walk, 2 done
-    for start in range(len(parent)):
-        walk = []
-        v = start
-        while v >= 0 and state[v] == 0:
-            state[v] = 1
-            walk.append(v)
-            v = parent[v]
-        if v >= 0 and state[v] == 1:
-            yield sum(parent_weight[u] for u in walk[walk.index(v) :])
-        for u in walk:
-            state[u] = 2
+                lowered[v] = label
+                push(heap, (label - potential[v], v, hops + 1))
+    return lowered, settled
 
 
 def minimal_network(stn: STN) -> STN:
@@ -535,12 +455,12 @@ def minimal_network(stn: STN) -> STN:
         tightened.add_point(point)
     if stn.anchor is not None:
         tightened.anchor = stn.anchor
-    m = graph.matrix
     points = graph.points
+    rows = [graph._row(i) for i in range(len(points))]
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            lower = -float(m[j, i]) + 0.0
-            upper = float(m[i, j]) + 0.0
+            lower = -rows[j][i] + 0.0
+            upper = rows[i][j] + 0.0
             if lower == -INF and upper == INF:
                 continue
             tightened.constrain(points[i], points[j], lower, upper)
@@ -556,8 +476,14 @@ def earliest_schedule(stn: STN) -> Schedule:
     graph = solve(stn)
     if not graph.consistent:
         raise InconsistentNetworkError("inconsistent network has no schedule")
-    # d(i, anchor) for every i: one pass from the anchor over reversed arcs.
-    to_anchor = _single_source(graph._predecessors, graph.position(stn.anchor))
+    # d(i, anchor) for every i: one pass from the anchor over reversed arcs,
+    # whose reduced costs under the negated potential are the forward ones.
+    to_anchor = [INF] * len(graph.points)
+    reversed_potential = [-label for label in graph.potential]
+    anchor = graph.position(stn.anchor)
+    fallen, _ = _fall(graph._predecessors, reversed_potential, to_anchor, anchor, 0.0)
+    for i, label in fallen.items():
+        to_anchor[i] = label
     schedule: Schedule = {}
     for point, distance_to_anchor in zip(graph.points, to_anchor):
         if distance_to_anchor == INF:

@@ -4,12 +4,16 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import madtn
 from madtn import (
     BehaviorProfile,
     compile_to_stn,
@@ -417,6 +421,63 @@ def test_plan_orders_a_long_chain(tmp_path, capsys):
     assert code == 0
     assert out == ", ".join(f"p{i}" for i in range(LONG)) + "\n"
     assert err == ""
+
+
+#: A valid task whose three zero-length petals P, Q and R each start at
+#: least 0.9 ns before the previous one ends, round a ring. Every arc is
+#: within TOLERANCE of zero, but the ring weighs -2.7 ns.
+NEAR_ZERO_RING = {
+    "agents": [{"id": "human"}, {"id": "robot"}],
+    "petals": [
+        {"name": name, "owner": "robot", "actions": [{"name": action, "lower": 0, "upper": 0}]}
+        for name, action in (("P", "a"), ("Q", "b"), ("R", "c"))
+    ] + [{"name": "T", "owner": "robot", "actions": [{"name": "t", "lower": 5, "upper": 6}]}],
+    "constraints": [
+        {"kind": "other", "source": source, "target": target, "lower": None, "upper": -9e-10}
+        for source, target in (
+            ("P.a.end", "Q.b.start"), ("Q.b.end", "R.c.start"), ("R.c.end", "P.a.start")
+        )
+    ],
+}
+
+
+def test_commands_end_on_a_ring_just_below_zero(tmp_path, capsys):
+    task = tmp_path / "ring.json"
+    task.write_text(json.dumps(NEAR_ZERO_RING))
+    src = str(Path(madtn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    outputs = {}
+    for command in ("compile", "schedule", "plan"):
+        done = subprocess.run(
+            [sys.executable, "-m", "madtn", command, str(task)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode in (0, 1), (command, done.stderr)
+        assert "Traceback" not in done.stderr
+        outputs[command] = done.stdout
+    orders = outputs["plan"].splitlines()
+    assert orders  # otherwise the check below proves nothing
+    for order in orders:
+        code, out, err = run(capsys, "compile", str(task), "--ordering", order.replace(" ", ""))
+        assert "consistent: yes" in out.splitlines(), (order, out, err)
+
+
+@pytest.mark.parametrize("blocked", ["missing directory", "regular file"])
+def test_out_errors_name_the_directory(tmp_path, capsys, blocked):
+    out_dir = tmp_path / "out"
+    argv_out = f"{out_dir}{os.sep}"
+    if blocked == "regular file":
+        out_dir.write_text("not a directory\n")
+        argv_out = str(out_dir)
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = run(capsys, "simulate", TASK, "--seed", "1", "--out", argv_out)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert str(out_dir) in err
+    assert ".tmp" not in err
+    assert "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_undecodable_files_are_reported_by_name(tmp_path, capsys):
