@@ -165,19 +165,22 @@ class Daisy:
         return tuple(a.id for a in self.agents)
 
     @functools.cached_property
-    def _index(self) -> tuple[dict[str, Petal], dict[TimePoint, Located]]:
-        """Petals by name and action vertices to where they sit, built once.
-
-        Where an invalid daisy repeats a petal name or an action, the first wins.
-        """
+    def _petals(self) -> dict[str, Petal]:
+        """Petals by name, built once; the first wins where a name repeats."""
         petals: dict[str, Petal] = {}
-        vertices: dict[TimePoint, Located] = {}
         for petal in self.petals:
             petals.setdefault(petal.name, petal)
+        return petals
+
+    @functools.cached_property
+    def _vertices(self) -> dict[TimePoint, Located]:
+        """Action vertices to where they sit, built once; the first place wins."""
+        vertices: dict[TimePoint, Located] = {}
+        for petal in self.petals:
             for action in petal.actions:
                 vertices.setdefault(action.start, (petal, action, "start"))
                 vertices.setdefault(action.end, (petal, action, "end"))
-        return petals, vertices
+        return vertices
 
     @functools.cached_property
     def _violations(self) -> tuple[str, ...]:
@@ -186,13 +189,13 @@ class Daisy:
 
     def petal(self, name: str) -> Petal:
         try:
-            return self._index[0][name]
+            return self._petals[name]
         except KeyError:
             raise KeyError(f"no petal named {name!r}") from None
 
     def locate(self, point: TimePoint) -> Located | None:
         """The (petal, action, "start"|"end") of an action vertex, else None."""
-        return self._index[1].get(point)
+        return self._vertices.get(point)
 
     def vertex_path(self, point: TimePoint) -> str:
         """``petal.action.start|end``, or ``Vs``/``Ve`` for the global vertices.
@@ -209,6 +212,32 @@ class Daisy:
             raise UnknownTimePointError(f"{point!r} is not a vertex of this task")
         petal, action, side = located
         return f"{petal.name}.{action.name}.{side}"
+
+    def vertex(self, path: str) -> TimePoint:
+        """The vertex ``path`` names: the inverse of ``vertex_path``.
+
+        Where names repeat, the first petal and its first action with the
+        name win. Raises ``UnknownTimePointError`` for a malformed path, an
+        unknown petal or an unknown action.
+        """
+        if path == GLOBAL_START_TOKEN:
+            return self.start
+        if path == GLOBAL_END_TOKEN:
+            return self.end
+        parts = path.split(".")
+        if len(parts) != 3 or parts[2] not in ("start", "end"):
+            raise UnknownTimePointError(
+                f"expected 'petal.action.start', 'petal.action.end', "
+                f"'{GLOBAL_START_TOKEN}', or '{GLOBAL_END_TOKEN}', got {path!r}"
+            )
+        petal_name, action_name, side = parts
+        petal = self._petals.get(petal_name)
+        if petal is None:
+            raise UnknownTimePointError(f"no petal named {petal_name!r}")
+        for action in petal.actions:
+            if action.name == action_name:
+                return action.start if side == "start" else action.end
+        raise UnknownTimePointError(f"petal {petal_name!r} has no action {action_name!r}")
 
     def with_petals(self, petals: Sequence[Petal]) -> Daisy:
         """A copy with the petal tuple replaced (used after assignment)."""

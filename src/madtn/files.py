@@ -25,14 +25,12 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
 from .daisy import (
-    GLOBAL_END_TOKEN,
-    GLOBAL_START_TOKEN,
     Action,
     Agent,
     ConstraintKind,
@@ -93,19 +91,16 @@ def parse_daisy(source: str | Mapping[str, Any]) -> DaisySpecDocument:
 
     agents = _parse_agents(data.get("agents"), errors)
     petals = _parse_petals(data.get("petals"), errors)
-    start = TimePoint(label="task.start")
-    end = TimePoint(label="task.end")
-    constraints = _parse_constraints(
-        data.get("constraints"), petals, start, end, errors
-    )
+    names = Daisy(agents=tuple(agents), petals=tuple(petals))
+    constraints = _parse_constraints(data.get("constraints"), names, errors)
     if "makespan" in data:
         bounds = _parse_bounds_pair(data["makespan"], "makespan", errors)
         if bounds is not None:
             constraints.append(
                 ExternalConstraint(
                     kind=ConstraintKind.MAKESPAN,
-                    source=start,
-                    target=end,
+                    source=names.start,
+                    target=names.end,
                     lower=bounds[0],
                     upper=bounds[1],
                 )
@@ -121,13 +116,7 @@ def parse_daisy(source: str | Mapping[str, Any]) -> DaisySpecDocument:
 
     if errors:
         raise DocumentError(errors)
-    daisy = Daisy(
-        agents=tuple(agents),
-        petals=tuple(petals),
-        constraints=tuple(constraints),
-        start=start,
-        end=end,
-    )
+    daisy = replace(names, constraints=tuple(constraints))
     violations = [f"model: {v}" for v in validate_daisy(daisy)]
     if violations:
         raise DocumentError(violations)
@@ -220,9 +209,11 @@ def parse_trace(source: str | Mapping[str, Any]) -> TraceDocument:
         errors.append(f"feasible: expected true or false, got {feasible!r}")
         feasible = True
     start_time = data.get("start_time", 0.0)
-    if not _is_number(start_time):
+    if _is_number(start_time):
+        start_time = float(start_time)
+    else:
         errors.append(f"start_time: expected a finite number, got {start_time!r}")
-        start_time = 0.0
+        start_time = -math.inf  # an unknown start holds no event back
 
     events: list[ExecutionEvent] = []
     raw_events = data.get("events")
@@ -243,6 +234,11 @@ def parse_trace(source: str | Mapping[str, Any]) -> TraceDocument:
                     f"events[{i}]: start {event.start} goes backwards; events "
                     "must be in non-decreasing start order"
                 )
+            if event.start < start_time:
+                errors.append(
+                    f"events[{i}].start: {event.start} is before start_time "
+                    f"{start_time}"
+                )
             previous = event.start
             events.append(event)
 
@@ -254,7 +250,7 @@ def parse_trace(source: str | Mapping[str, Any]) -> TraceDocument:
         agents=tuple(agents),
         seed=seed,
         feasible=feasible,
-        start_time=float(start_time),
+        start_time=start_time,
     )
     return TraceDocument(trace=trace, daisy=daisy_ref, comments=comments)
 
@@ -633,11 +629,7 @@ def _parse_actions(raw: Any, path: str, errors: list[str]) -> list[Action] | Non
 
 
 def _parse_constraints(
-    raw: Any,
-    petals: list[Petal],
-    start: TimePoint,
-    end: TimePoint,
-    errors: list[str],
+    raw: Any, names: Daisy, errors: list[str]
 ) -> list[ExternalConstraint]:
     if raw is None:
         return []
@@ -658,10 +650,8 @@ def _parse_constraints(
                 f"{path}.kind: expected one of {sorted(kinds)}, got {kind!r}"
             )
             continue
-        source = _resolve_vertex(item.get("source"), petals, start, end,
-                                 f"{path}.source", errors)
-        target = _resolve_vertex(item.get("target"), petals, start, end,
-                                 f"{path}.target", errors)
+        source = _resolve_vertex(item.get("source"), names, f"{path}.source", errors)
+        target = _resolve_vertex(item.get("target"), names, f"{path}.target", errors)
         lower = _parse_bound(item.get("lower", 0.0), f"{path}.lower", errors, "lower")
         upper = _parse_bound(item.get("upper"), f"{path}.upper", errors, "upper")
         if None in (source, target, lower, upper):
@@ -676,38 +666,16 @@ def _parse_constraints(
 
 
 def _resolve_vertex(
-    value: Any,
-    petals: list[Petal],
-    start: TimePoint,
-    end: TimePoint,
-    path: str,
-    errors: list[str],
+    value: Any, names: Daisy, path: str, errors: list[str]
 ) -> TimePoint | None:
     if not isinstance(value, str) or not value:
         errors.append(f"{path}: expected a vertex path string")
         return None
-    if value == GLOBAL_START_TOKEN:
-        return start
-    if value == GLOBAL_END_TOKEN:
-        return end
-    parts = value.split(".")
-    if len(parts) != 3 or parts[2] not in ("start", "end"):
-        errors.append(
-            f"{path}: expected 'petal.action.start', 'petal.action.end', "
-            f"'{GLOBAL_START_TOKEN}', or '{GLOBAL_END_TOKEN}', got {value!r}"
-        )
+    try:
+        return names.vertex(value)
+    except UnknownTimePointError as exc:
+        errors.append(f"{path}: {exc}")
         return None
-    petal_name, action_name, side = parts
-    for petal in petals:
-        if petal.name != petal_name:
-            continue
-        for action in petal.actions:
-            if action.name == action_name:
-                return action.start if side == "start" else action.end
-        errors.append(f"{path}: petal {petal_name!r} has no action {action_name!r}")
-        return None
-    errors.append(f"{path}: no petal named {petal_name!r}")
-    return None
 
 
 def _parse_event(item: Any, path: str, errors: list[str]) -> ExecutionEvent | None:

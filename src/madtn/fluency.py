@@ -4,7 +4,11 @@ All metrics are descriptive: they take the trace as it happened, feasible
 or not, and measure how the agents' time was spent and how smoothly work
 moved across handoffs. Time is carved up with half-open interval sets over
 the analysis window, which runs from the trace start to its last event, so
-activity, idleness, and their overlaps partition the makespan exactly.
+activity, idleness, and their overlaps partition the makespan exactly (a
+trace document may hold no event that starts before the trace does).
+Metrics that take the task first match the trace to it by the rule of
+``validate_trace``, raising ``CoverageError`` for a trace that is not a run
+of the task, and then read handoff and petal times by vertex.
 """
 from __future__ import annotations
 
@@ -19,8 +23,8 @@ from .errors import (
     UnknownAgentError,
 )
 from .intervals import IntervalSet
-from .simulate import Trace
-from .stn import TOLERANCE
+from .simulate import Trace, realized_times
+from .stn import TOLERANCE, TimePoint
 
 
 def window(trace: Trace) -> IntervalSet:
@@ -110,24 +114,18 @@ def petal_functional_delay(daisy: Daisy, trace: Trace) -> tuple[PetalDelay, ...]
 
     Records come out in constraint declaration order; petal pairs coupled
     by several handoffs get one entry each, all with the same petal-level
-    figures.
+    figures. A trace that is not a run of the task raises ``CoverageError``.
     """
-    return _petal_delays(_TraceIndex(trace), handoff_constraints(daisy))
+    return _petal_delays(realized_times(daisy, trace), handoff_constraints(daisy))
 
 
 def _petal_delays(
-    index: _TraceIndex, links: tuple[HandoffLink, ...]
+    times: dict[TimePoint, float], links: tuple[HandoffLink, ...]
 ) -> tuple[PetalDelay, ...]:
     out: list[PetalDelay] = []
     for link in links:
-        source_end = max(
-            index.lookup(link.source_petal.name, a.name)[2]
-            for a in link.source_petal.actions
-        )
-        target_start = min(
-            index.lookup(link.target_petal.name, a.name)[1]
-            for a in link.target_petal.actions
-        )
+        source_end = max(times[a.end] for a in link.source_petal.actions)
+        target_start = min(times[a.start] for a in link.target_petal.actions)
         out.append(
             PetalDelay(
                 source_petal=link.source_petal.name,
@@ -185,12 +183,14 @@ def handoff_delays(daisy: Daisy, trace: Trace) -> tuple[HandoffDelays, ...]:
     The delay definitions lean on handoffs having a zero lower bound (the
     receiver may start the instant the product exists); a handoff-kind
     constraint with any other lower bound raises ``NonHandoffKindError``.
+    A trace that is not a run of the task raises ``CoverageError``.
     """
-    return _handoff_delays(_TraceIndex(trace), handoff_constraints(daisy))
+    times = realized_times(daisy, trace)
+    return _handoff_delays(times, _TraceIndex(trace), handoff_constraints(daisy))
 
 
 def _handoff_delays(
-    index: _TraceIndex, links: tuple[HandoffLink, ...]
+    times: dict[TimePoint, float], index: _TraceIndex, links: tuple[HandoffLink, ...]
 ) -> tuple[HandoffDelays, ...]:
     out: list[HandoffDelays] = []
     for link in links:
@@ -200,12 +200,9 @@ def _handoff_delays(
                 f"{link.target_petal.name}.{link.target_action.name} has lower "
                 f"bound {link.constraint.lower}; delay analysis requires 0"
             )
-        target_agent = link.target_petal.owner
-        available = index.lookup(link.source_petal.name, link.source_action.name)[2]
-        start = index.lookup(link.target_petal.name, link.target_action.name)[1]
-        ready = index.receiver_ready(
-            target_agent, link.target_petal.name, link.target_action.name
-        )
+        available = times[link.source_action.end]
+        start = times[link.target_action.start]
+        ready = index.ready[(link.target_petal.name, link.target_action.name)]
         readiness = available - ready
         if readiness > TOLERANCE:
             state = HandoffState.BLOCKED
@@ -221,7 +218,7 @@ def _handoff_delays(
                 source_agent=link.source_petal.owner,
                 target_petal=link.target_petal.name,
                 target_action=link.target_action.name,
-                target_agent=target_agent,
+                target_agent=link.target_petal.owner,
                 product_available=available,
                 receiver_ready=ready,
                 receipt_start=start,
@@ -268,14 +265,19 @@ class FluencyReport:
 
 
 def fluency_report(daisy: Daisy, trace: Trace) -> FluencyReport:
-    """Assemble the full fluency picture for a two-agent trace, indexed once."""
+    """Assemble the full fluency picture for a two-agent run of the task.
+
+    The trace is matched to the task and indexed once; one that is not a
+    run of the task raises ``CoverageError``.
+    """
     first, second = _exactly_two(trace)
+    times = realized_times(daisy, trace)
     index = _TraceIndex(trace)
     span = window(trace)
     active = {a: index.activity(a) for a in (first, second)}
     idle = {a: span - active[a] for a in (first, second)}
     links = handoff_constraints(daisy)
-    petal_delays = _petal_delays(index, links)
+    petal_delays = _petal_delays(times, links)
     delay_by_agent = {first: 0.0, second: 0.0}
     for record in petal_delays:
         delay_by_agent[record.agent] = delay_by_agent.get(record.agent, 0.0) + record.delay
@@ -293,7 +295,7 @@ def fluency_report(daisy: Daisy, trace: Trace) -> FluencyReport:
         },
         petal_delays=petal_delays,
         delay_by_agent=delay_by_agent,
-        handoffs=_handoff_delays(index, links),
+        handoffs=_handoff_delays(times, index, links),
     )
 
 
@@ -316,38 +318,38 @@ def _require_on_roster(trace: Trace, agent_id: str) -> None:
 class _TraceIndex:
     """One pass over a trace, read by every metric.
 
-    It maps (petal, action) to (agent, start, end), raising ``CoverageError``
-    on a repeat; keeps each agent's action intervals and petal spans; and
-    maps each action to when its agent finished the action before it in
-    (start, end, petal, action) order, or to the trace start.
+    It raises ``CoverageError`` on a repeated (petal, action); keeps each
+    agent's action intervals and petal spans; and maps each (petal, action)
+    to when its agent finished the action before it in (start, end, petal,
+    action) order, or to the trace start.
     """
 
     def __init__(self, trace: Trace):
-        self._times: dict[tuple[str, str], tuple[str, float, float]] = {}
+        times: dict[tuple[str, str], tuple[str, float, float]] = {}
         extra: list[str] = []
         for event in trace.events:
             key = (event.petal, event.action)
-            if key in self._times:
+            if key in times:
                 extra.append(f"{event.petal}.{event.action}")
                 continue
-            self._times[key] = (event.agent, event.start, event.end)
+            times[key] = (event.agent, event.start, event.end)
         if extra:
             raise CoverageError(missing=(), extra=tuple(sorted(extra)))
 
         self._spans: dict[str, list[tuple[float, float]]] = {}
         self._petal_spans: dict[str, dict[str, tuple[float, float]]] = {}
         mine: dict[str, list[tuple[float, float, tuple[str, str]]]] = {}
-        for key, (agent, start, end) in self._times.items():
+        for key, (agent, start, end) in times.items():
             self._spans.setdefault(agent, []).append((start, end))
             petals = self._petal_spans.setdefault(agent, {})
             lo, hi = petals.get(key[0], (start, end))
             petals[key[0]] = (min(lo, start), max(hi, end))
             mine.setdefault(agent, []).append((start, end, key))
-        self._ready: dict[tuple[str, str], float] = {}
+        self.ready: dict[tuple[str, str], float] = {}
         for entries in mine.values():
             previous_end = trace.start_time
             for _, end, key in sorted(entries):
-                self._ready[key] = previous_end
+                self.ready[key] = previous_end
                 previous_end = end
 
     def activity(self, agent_id: str) -> IntervalSet:
@@ -356,16 +358,3 @@ class _TraceIndex:
     def idle_breakdown(self, agent_id: str, idle: IntervalSet) -> IdleBreakdown:
         within = IntervalSet.from_pairs(self._petal_spans.get(agent_id, {}).values())
         return IdleBreakdown(agent_id, idle, waiting=idle & within, resting=idle - within)
-
-    def lookup(self, petal: str, action: str) -> tuple[str, float, float]:
-        try:
-            return self._times[(petal, action)]
-        except KeyError:
-            raise CoverageError(missing=(f"{petal}.{action}",))
-
-    def receiver_ready(self, agent_id: str, petal: str, action: str) -> float:
-        """When ``agent_id`` finished the action before the named one."""
-        entry = self._times.get((petal, action))
-        if entry is None or entry[0] != agent_id:
-            raise CoverageError(missing=(f"{petal}.{action}",))
-        return self._ready[(petal, action)]

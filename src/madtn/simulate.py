@@ -351,11 +351,11 @@ def validate_trace(
     """Check a trace against the compiled network; return violated constraints.
 
     Structural problems raise immediately: events out of time order raise
-    ``InconsistentOrderingError``, and a trace that does not cover the task's
-    actions exactly once each raises ``CoverageError``. Temporal violations
-    (a handoff consumed before it was produced, a blown deadline, a duration
-    outside its bounds) are returned as the violated constraints, empty for
-    a feasible trace.
+    ``InconsistentOrderingError``, and a trace that ``realized_times`` cannot
+    match to the task raises ``CoverageError``. Temporal violations (a
+    handoff consumed before it was produced, a blown deadline, a duration
+    outside its bounds, an event before the trace start) are returned as
+    the violated constraints, empty for a feasible trace.
     """
     stn = compile_to_stn(daisy, ordering=ordering, transition_lower=transition_lower)
     for before, after in zip(trace.events, trace.events[1:]):
@@ -363,8 +363,17 @@ def validate_trace(
             raise InconsistentOrderingError(
                 f"trace events are not in start order: {after} follows {before}"
             )
+    return check_schedule(stn, realized_times(daisy, trace))
 
-    expected: dict[tuple[str, str], tuple[Petal, Action]] = {
+
+def realized_times(daisy: Daisy, trace: Trace) -> dict[TimePoint, float]:
+    """Match a trace to its task: the realized time of each of its vertices.
+
+    ``Vs`` and ``Ve`` take the trace window. Unless the trace holds exactly
+    one event per action, by the owner of the action's petal, this raises
+    ``CoverageError`` naming the missing and the unexpected events.
+    """
+    pending: dict[tuple[str, str], tuple[Petal, Action]] = {
         (petal.name, action.name): (petal, action)
         for petal in daisy.petals
         for action in petal.actions
@@ -372,21 +381,21 @@ def validate_trace(
     times: dict[TimePoint, float] = {
         daisy.start: trace.start_time, daisy.end: trace.end_time
     }
-    seen: set[tuple[str, str]] = set()
     extra: list[str] = []
     for event in trace.events:
         key = (event.petal, event.action)
-        if key not in expected or key in seen:
+        matched = pending.pop(key, None)
+        if matched is None:  # not an action of the task, or a repeat
             extra.append(f"{event.petal}.{event.action}")
             continue
-        petal, action = expected[key]
+        petal, action = matched
         if event.agent != petal.owner:
+            pending[key] = matched
             extra.append(f"{event.petal}.{event.action} (agent {event.agent!r})")
             continue
-        seen.add(key)
         times[action.start] = event.start
         times[action.end] = event.end
-    missing = [f"{petal}.{action}" for (petal, action) in expected if (petal, action) not in seen]
-    if missing or extra:
+    if pending or extra:
+        missing = [f"{petal}.{action}" for petal, action in pending]
         raise CoverageError(missing=tuple(missing), extra=tuple(extra))
-    return check_schedule(stn, times)
+    return times

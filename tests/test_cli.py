@@ -120,6 +120,49 @@ def test_analyze_rejects_non_finite_trace_times(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def doctored_traces(tmp_path, capsys):
+    """Three traces of seed 1 that are not runs of the packaged task."""
+    code, _, _ = run(capsys, "simulate", TASK, "--seed", "1", "--out", str(tmp_path))
+    assert code == 0
+    base = json.loads((tmp_path / "trace-1.json").read_text())
+    ghost = json.loads(json.dumps(base))
+    ghost["events"].append({"agent": "human", "petal": "Ghost", "action": "Haunt",
+                            "start": 7.5, "end": 107.3})
+    dropped = json.loads(json.dumps(base))
+    dropped["events"] = [e for e in base["events"] if e["petal"] != "Pack Object C"]
+    swapped = json.loads(json.dumps(base))
+    for e in swapped["events"]:
+        if (e["petal"], e["action"]) == ("Pack Object A", "Move to Object A"):
+            e["agent"] = "human"
+    return {"ghost": ghost, "dropped": dropped, "swapped": swapped}
+
+
+def test_analyze_rejects_traces_that_do_not_cover_the_task(tmp_path, capsys):
+    daisy = madtn.load_packaged_example().daisy
+    for name, doc in doctored_traces(tmp_path, capsys).items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(madtn.CoverageError) as excinfo:
+            madtn.validate_trace(daisy, parse_trace(doc).trace)
+        for output in ("json", "text"):
+            code, out, err = run(capsys, "analyze", TASK, str(path), "--output", output)
+            assert (code, out) == (1, ""), name
+            assert err == f"error: {excinfo.value}\n"
+
+
+def test_analyze_rejects_events_before_start_time(tmp_path, capsys):
+    code, _, _ = run(capsys, "simulate", TASK, "--seed", "1", "--out", str(tmp_path))
+    assert code == 0
+    trace_file = tmp_path / "trace-1.json"
+    doc = json.loads(trace_file.read_text())
+    doc["start_time"] = 3.0
+    trace_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "analyze", TASK, str(trace_file))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: events[0].start: 0.0 is before start_time 3.0\n")
+    assert "Traceback" not in err
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys)[0] == 2
     assert run(capsys, "frobnicate", TASK)[0] == 2

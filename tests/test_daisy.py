@@ -381,6 +381,14 @@ def test_vertex_paths_name_every_vertex(packaging):
     assert daisy.vertex_path(last.end) == f"{daisy.petals[-1].name}.{last.name}.end"
     with pytest.raises(UnknownTimePointError):
         daisy.vertex_path(build_action("stray", 1.0).start)
+    vertices = [daisy.start, daisy.end]
+    vertices += [p for petal in daisy.petals for a in petal.actions for p in (a.start, a.end)]
+    for point in vertices:
+        assert daisy.vertex(daisy.vertex_path(point)) is point
+    for path in ("nope", f"{daisy.petals[0].name}.x.middle", "Ghost.x.start",
+                 f"{daisy.petals[0].name}.Haunt.end"):
+        with pytest.raises(UnknownTimePointError):
+            daisy.vertex(path)
 
 
 def test_compiled_bounds_match_oracle_sweep():

@@ -90,6 +90,11 @@ def test_canonical_form_is_a_fixed_point():
     twice = dump_document(daisy_document(parse_daisy(once)))
     assert once == twice
 
+    # An agent's display name defaults to its id.
+    canonical = daisy_document(parse_daisy(tiny_doc()))
+    assert canonical["agents"] == [{"id": "x", "name": "x"}, {"id": "y", "name": "y"}]
+    assert daisy_document(parse_daisy(canonical)) == canonical
+
 
 def test_makespan_shorthand_desugars_to_a_constraint():
     doc = tiny_doc(makespan=[0.0, 12.5])
@@ -168,7 +173,10 @@ def test_model_violations_surface_at_parse_time():
 def test_vertex_paths_are_checked():
     bad_shape = tiny_doc()
     bad_shape["constraints"][0]["source"] = "nope"
-    assert any("constraints[0].source" in e for e in failures(bad_shape))
+    assert (
+        "constraints[0].source: expected 'petal.action.start', 'petal.action.end', "
+        "'Vs', or 'Ve', got 'nope'"
+    ) in failures(bad_shape)
 
     bad_petal = tiny_doc()
     bad_petal["constraints"][0]["target"] = "missing.use.start"
@@ -310,6 +318,14 @@ def test_trace_events_must_be_on_the_roster_and_in_order():
     with pytest.raises(DocumentError) as excinfo:
         parse_trace(typo)
     assert any("events[0].kind: unknown field" in e for e in excinfo.value.errors)
+
+    # Events may start at the trace start but not before it; the window
+    # would otherwise miss part of the activity it measures.
+    early = {"agents": ["a"], "start_time": 2, "events": [
+        event(), event(action="y", start=2.0, end=3.0)]}
+    with pytest.raises(DocumentError) as excinfo:
+        parse_trace(early)
+    assert excinfo.value.errors == ["events[0].start: 0.0 is before start_time 2.0"]
 
 
 def test_report_document_shape(packaging):
