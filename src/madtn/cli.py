@@ -14,6 +14,7 @@ leaves a partial result on the output stream.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -53,7 +54,14 @@ def run_cli(argv: Sequence[str]) -> int:
         return 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process.
+
+    Parsing leaves no state in it: each call gets a fresh namespace, the
+    environment is read when a command runs, and help is laid out for the
+    terminal when it is printed.
+    """
     parser = argparse.ArgumentParser(
         prog="madtn",
         description="Model, schedule, simulate, and analyze collaborative tasks.",

@@ -13,7 +13,8 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
+from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import TypeVar
 
 from .errors import (
     EmptyPetalError,

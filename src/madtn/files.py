@@ -21,14 +21,17 @@ precision, so trace times survive a round trip exactly.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import tempfile
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, replace
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from .daisy import (
     Action,
@@ -342,8 +345,20 @@ def _interval_entry(report: FluencyReport, spans: IntervalSet) -> dict[str, Any]
 
 
 def dump_document(document: dict[str, Any]) -> str:
-    """Serialize a document dict to its canonical JSON text."""
-    return json.dumps(document, indent=2, allow_nan=False) + "\n"
+    """Serialize a document dict to its canonical JSON text.
+
+    The text is exactly ``json.dumps(document, indent=2, allow_nan=False)``
+    plus a newline, but written through the stdlib's C encoder, which
+    ``indent`` alone would bypass. A non-finite float raises
+    ``DocumentError`` naming its path.
+    """
+    try:
+        return _dump(document, 0) + "\n"
+    except ValueError:
+        problem = _non_finite(document, "")
+        if problem is None:
+            raise
+        raise DocumentError([problem]) from None
 
 
 def load_daisy(path: str | os.PathLike) -> DaisySpecDocument:
@@ -365,6 +380,7 @@ def save_document(document: dict[str, Any], path: str | os.PathLike) -> None:
     temporary file the write goes through.
     """
     target = Path(path)
+    text = dump_document(document)
     try:
         fd, scratch = tempfile.mkstemp(
             dir=target.parent, prefix=f".{target.name}.", suffix=".tmp"
@@ -373,7 +389,7 @@ def save_document(document: dict[str, Any], path: str | os.PathLike) -> None:
         raise OSError(exc.errno, exc.strerror, str(target.parent)) from None
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(dump_document(document))
+            handle.write(text)
         os.replace(scratch, target)
     except BaseException:
         try:
@@ -395,7 +411,7 @@ def parse_profiles(source: str | Mapping[str, Any]) -> dict[str, BehaviorProfile
     modes = {m.value for m in DurationMode}
     for agent_id, raw in data.items():
         path = f"{agent_id}"
-        if not isinstance(raw, Mapping):
+        if not _is_object(raw):
             errors.append(f"{path}: expected a profile object")
             continue
         _reject_unknown(
@@ -441,6 +457,95 @@ def load_packaged_example() -> DaisySpecDocument:
     return load_daisy(packaged_example_path())
 
 
+# -- writing internals -------------------------------------------------------
+
+#: Exact types the C encoder writes the same at any depth. Subclasses (a
+#: ``ConstraintKind``, say) take the general path, which writes them as
+#: ``json`` does too.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _encoder(depth: int) -> Callable[[Any], str]:
+    """The C encoder, separating items with a newline and the indent of
+    the items of a container at ``depth``."""
+    return json.JSONEncoder(
+        separators=(",\n" + "  " * (depth + 1), ": "), allow_nan=False
+    ).encode
+
+
+def _dump(value: Any, depth: int) -> str:
+    """``value`` as indent-2 JSON for a container at ``depth``.
+
+    A container of scalars is one encoder call with its brackets moved onto
+    their own lines. So is a list of non-empty containers of scalars, all
+    dicts or all lists: only the joints between its items need rewriting,
+    and since the encoder escapes every newline inside a string, a joint is
+    the only place ``},\\n<indent>{`` (or ``],\\n<indent>[``) can occur.
+    """
+    is_dict = isinstance(value, dict)
+    if not is_dict and not isinstance(value, (list, tuple)):
+        return _encoder(depth)(value)
+    if not value:
+        return "{}" if is_dict else "[]"
+    outer = "  " * depth
+    inner = "  " * (depth + 1)
+    if _SCALARS.issuperset(map(type, value.values() if is_dict else value)):
+        text = _encoder(depth)(value)
+        return f"{text[0]}\n{inner}{text[1:-1]}\n{outer}{text[-1]}"
+    if is_dict:
+        lines = [f"{inner}{_key(k)}: {_dump(v, depth + 1)}" for k, v in value.items()]
+        return "{\n" + ",\n".join(lines) + f"\n{outer}}}"
+    kind = value[0].__class__
+    if (kind is dict or kind is list) and all(
+        item.__class__ is kind and item
+        and _SCALARS.issuperset(map(type, item.values() if kind is dict else item))
+        for item in value
+    ):
+        opening, closing = "{}" if kind is dict else "[]"
+        deeper = "  " * (depth + 2)
+        text = _encoder(depth + 1)(value)[2:-2].replace(
+            f"{closing},\n{deeper}{opening}",
+            f"\n{inner}{closing},\n{inner}{opening}\n{deeper}",
+        )
+        return f"[\n{inner}{opening}\n{deeper}{text}\n{inner}{closing}\n{outer}]"
+    lines = [inner + _dump(item, depth + 1) for item in value]
+    return "[\n" + ",\n".join(lines) + f"\n{outer}]"
+
+
+def _key(key: Any) -> str:
+    """An object key as ``json`` writes it: numbers and constants quoted."""
+    if not isinstance(key, str):
+        if key is not None and not isinstance(key, (int, float)):
+            raise TypeError(
+                "keys must be str, int, float, bool or None, "
+                f"not {key.__class__.__name__}"
+            )
+        key = _encoder(0)(key)
+    return encode_basestring_ascii(key)
+
+
+def _non_finite(value: Any, path: str) -> str | None:
+    """A complaint naming the first non-finite float in ``value``, if any."""
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return None
+        return f"{path or 'top level'}: {value!r} is not a finite number"
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if isinstance(key, float) and not math.isfinite(key):
+                return f"{path or 'top level'}: key {key!r} is not a finite number"
+            problem = _non_finite(item, f"{path}.{key}" if path else f"{key}")
+            if problem is not None:
+                return problem
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            problem = _non_finite(item, f"{path}[{i}]")
+            if problem is not None:
+                return problem
+    return None
+
+
 # -- parsing internals -------------------------------------------------------
 
 
@@ -464,14 +569,21 @@ def _decode(source: str | Mapping[str, Any]) -> Mapping[str, Any]:
             raise DocumentError(["not valid JSON: nested too deeply"]) from None
     else:
         data = source
-    if not isinstance(data, Mapping):
+    if not _is_object(data):
         raise DocumentError(["top level: expected a JSON object"])
     return data
+
+
+def _is_object(value: Any) -> bool:
+    """A JSON object: a dict, or any other mapping handed to a parser."""
+    return value.__class__ is dict or isinstance(value, Mapping)
 
 
 def _reject_unknown(
     data: Mapping[str, Any], allowed: set[str], path: str, errors: list[str]
 ) -> None:
+    if data.keys() <= allowed:
+        return
     for key in data:
         if key not in allowed:
             where = f"{path}.{key}" if path else key
@@ -484,7 +596,9 @@ def _is_number(value: Any) -> bool:
     Python's ``json`` accepts ``NaN`` and ``Infinity`` tokens, and integers
     too large for a float, so each is checked here rather than trusted.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, bool) or not isinstance(value, int):
         return False
     try:
         return math.isfinite(value)
@@ -492,21 +606,27 @@ def _is_number(value: Any) -> bool:
         return False
 
 
-def _parse_name(value: Any, path: str, errors: list[str]) -> str | None:
+# The field parsers below take the path of the enclosing value and the
+# field's own suffix (".name", "[0]"), and join them only for a complaint.
+
+
+def _parse_name(value: Any, path: str, field: str, errors: list[str]) -> str | None:
     if not isinstance(value, str) or not value:
-        errors.append(f"{path}: expected a non-empty string, got {value!r}")
+        errors.append(f"{path}{field}: expected a non-empty string, got {value!r}")
         return None
     return value
 
 
 def _parse_bound(
-    value: Any, path: str, errors: list[str], side: str
+    value: Any, path: str, field: str, errors: list[str], side: str
 ) -> float | None:
     """A bound value: a finite number, or null for the one-sided infinity."""
     if value is None:
         return -INF if side == "lower" else INF
     if not _is_number(value):
-        errors.append(f"{path}: expected a finite number or null, got {value!r}")
+        errors.append(
+            f"{path}{field}: expected a finite number or null, got {value!r}"
+        )
         return None
     return float(value)
 
@@ -517,8 +637,8 @@ def _parse_bounds_pair(
     if not isinstance(value, list) or len(value) != 2:
         errors.append(f"{path}: expected a [lower, upper] pair")
         return None
-    lower = _parse_bound(value[0], f"{path}[0]", errors, "lower")
-    upper = _parse_bound(value[1], f"{path}[1]", errors, "upper")
+    lower = _parse_bound(value[0], path, "[0]", errors, "lower")
+    upper = _parse_bound(value[1], path, "[1]", errors, "upper")
     if lower is None or upper is None:
         return None
     return lower, upper
@@ -540,11 +660,11 @@ def _parse_agents(raw: Any, errors: list[str]) -> list[Agent]:
     agents: list[Agent] = []
     for i, item in enumerate(raw):
         path = f"agents[{i}]"
-        if not isinstance(item, Mapping):
+        if not _is_object(item):
             errors.append(f"{path}: expected an object")
             continue
         _reject_unknown(item, {"id", "name"}, path, errors)
-        agent_id = _parse_name(item.get("id"), f"{path}.id", errors)
+        agent_id = _parse_name(item.get("id"), path, ".id", errors)
         if agent_id is None:
             continue
         name = item.get("name", "")
@@ -562,11 +682,11 @@ def _parse_petals(raw: Any, errors: list[str]) -> list[Petal]:
     petals: list[Petal] = []
     for i, item in enumerate(raw):
         path = f"petals[{i}]"
-        if not isinstance(item, Mapping):
+        if not _is_object(item):
             errors.append(f"{path}: expected an object")
             continue
         _reject_unknown(item, {"name", "owner", "tags", "actions"}, path, errors)
-        name = _parse_name(item.get("name"), f"{path}.name", errors)
+        name = _parse_name(item.get("name"), path, ".name", errors)
         owner = item.get("owner")
         if owner is None:
             owner = UNASSIGNED
@@ -609,16 +729,16 @@ def _parse_actions(raw: Any, path: str, errors: list[str]) -> list[Action] | Non
     actions: list[Action] = []
     for j, item in enumerate(raw):
         where = f"{path}.actions[{j}]"
-        if not isinstance(item, Mapping):
+        if not _is_object(item):
             errors.append(f"{where}: expected an object")
             continue
         _reject_unknown(item, {"name", "lower", "upper"}, where, errors)
-        name = _parse_name(item.get("name"), f"{where}.name", errors)
+        name = _parse_name(item.get("name"), where, ".name", errors)
         if "lower" not in item:
             errors.append(f"{where}.lower: required")
             continue
-        lower = _parse_bound(item["lower"], f"{where}.lower", errors, "lower")
-        upper = _parse_bound(item.get("upper"), f"{where}.upper", errors, "upper")
+        lower = _parse_bound(item["lower"], where, ".lower", errors, "lower")
+        upper = _parse_bound(item.get("upper"), where, ".upper", errors, "upper")
         if name is None or lower is None or upper is None:
             continue
         try:
@@ -640,7 +760,7 @@ def _parse_constraints(
     out: list[ExternalConstraint] = []
     for i, item in enumerate(raw):
         path = f"constraints[{i}]"
-        if not isinstance(item, Mapping):
+        if not _is_object(item):
             errors.append(f"{path}: expected an object")
             continue
         _reject_unknown(item, {"kind", "source", "target", "lower", "upper"}, path, errors)
@@ -650,10 +770,10 @@ def _parse_constraints(
                 f"{path}.kind: expected one of {sorted(kinds)}, got {kind!r}"
             )
             continue
-        source = _resolve_vertex(item.get("source"), names, f"{path}.source", errors)
-        target = _resolve_vertex(item.get("target"), names, f"{path}.target", errors)
-        lower = _parse_bound(item.get("lower", 0.0), f"{path}.lower", errors, "lower")
-        upper = _parse_bound(item.get("upper"), f"{path}.upper", errors, "upper")
+        source = _resolve_vertex(item.get("source"), names, path, ".source", errors)
+        target = _resolve_vertex(item.get("target"), names, path, ".target", errors)
+        lower = _parse_bound(item.get("lower", 0.0), path, ".lower", errors, "lower")
+        upper = _parse_bound(item.get("upper"), path, ".upper", errors, "upper")
         if None in (source, target, lower, upper):
             continue
         out.append(
@@ -666,26 +786,26 @@ def _parse_constraints(
 
 
 def _resolve_vertex(
-    value: Any, names: Daisy, path: str, errors: list[str]
+    value: Any, names: Daisy, path: str, field: str, errors: list[str]
 ) -> TimePoint | None:
     if not isinstance(value, str) or not value:
-        errors.append(f"{path}: expected a vertex path string")
+        errors.append(f"{path}{field}: expected a vertex path string")
         return None
     try:
         return names.vertex(value)
     except UnknownTimePointError as exc:
-        errors.append(f"{path}: {exc}")
+        errors.append(f"{path}{field}: {exc}")
         return None
 
 
 def _parse_event(item: Any, path: str, errors: list[str]) -> ExecutionEvent | None:
-    if not isinstance(item, Mapping):
+    if not _is_object(item):
         errors.append(f"{path}: expected an event object")
         return None
     _reject_unknown(item, {"agent", "petal", "action", "start", "end"}, path, errors)
-    agent = _parse_name(item.get("agent"), f"{path}.agent", errors)
-    petal = _parse_name(item.get("petal"), f"{path}.petal", errors)
-    action = _parse_name(item.get("action"), f"{path}.action", errors)
+    agent = _parse_name(item.get("agent"), path, ".agent", errors)
+    petal = _parse_name(item.get("petal"), path, ".petal", errors)
+    action = _parse_name(item.get("action"), path, ".action", errors)
     start = item.get("start")
     if not _is_number(start):
         errors.append(f"{path}.start: expected a finite number, got {start!r}")
@@ -711,7 +831,7 @@ def _parse_capabilities(
 ) -> CapabilityTable | None:
     if raw is None:
         return None
-    if not isinstance(raw, Mapping):
+    if not _is_object(raw):
         errors.append("capabilities: expected an object keyed by agent id")
         return None
     table = CapabilityTable()
@@ -720,19 +840,18 @@ def _parse_capabilities(
         if agent_id not in agent_ids:
             errors.append(f"{path}: {agent_id!r} is not a declared agent")
             continue
-        if not isinstance(row, Mapping):
+        if not _is_object(row):
             errors.append(f"{path}: expected an object keyed by petal name")
             continue
         for petal_name, score in row.items():
-            where = f"{path}.{petal_name}"
             if petal_name not in petal_names:
-                errors.append(f"{where}: {petal_name!r} is not a declared petal")
+                errors.append(f"{path}.{petal_name}: {petal_name!r} is not a declared petal")
                 continue
             if not _is_number(score):
-                errors.append(f"{where}: expected a finite number, got {score!r}")
+                errors.append(f"{path}.{petal_name}: expected a finite number, got {score!r}")
                 continue
             if score < 0:
-                errors.append(f"{where}: scores may not be negative, got {score!r}")
+                errors.append(f"{path}.{petal_name}: scores may not be negative, got {score!r}")
                 continue
             table.rate(agent_id, petal_name, float(score))
     return table

@@ -163,6 +163,33 @@ def test_analyze_rejects_events_before_start_time(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_simulate_reports_a_time_that_overflows(tmp_path, capsys):
+    # Two back-to-back actions of 1e308 s: the second one ends at infinity.
+    task = tmp_path / "big.json"
+    task.write_text(json.dumps({
+        "agents": [{"id": "human"}, {"id": "robot"}],
+        "petals": [{"name": "P", "owner": "robot", "actions": [
+            {"name": "a", "lower": 1e308}, {"name": "b", "lower": 1e308}]}],
+    }))
+    code, out, err = run(capsys, "simulate", str(task), "--seed", "1", "--out", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err == "error: events[1].end: inf is not a finite number\n"
+    assert list(tmp_path.iterdir()) == [task]  # no trace, no temporary file
+
+
+def test_analyze_reports_a_makespan_that_overflows(tmp_path, capsys):
+    code, _, _ = run(capsys, "simulate", TASK, "--seed", "1", "--out", str(tmp_path))
+    assert code == 0
+    trace_file = tmp_path / "trace-1.json"
+    doc = json.loads(trace_file.read_text())
+    doc["start_time"] = -1.7e308
+    doc["events"][-1]["end"] = 1.7e308
+    trace_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "analyze", TASK, str(trace_file))
+    assert (code, out) == (1, "")
+    assert err == "error: window.makespan: inf is not a finite number\n"
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys)[0] == 2
     assert run(capsys, "frobnicate", TASK)[0] == 2
@@ -357,6 +384,33 @@ def test_simulate_out_dir_env_fallback(tmp_path, monkeypatch, capsys):
     code, _, _ = run(capsys, "simulate", TASK, "--seed", "1", "--out", str(flagged))
     assert code == 0
     assert (flagged / "trace-1.json").exists()  # --out beats the environment
+
+
+def test_one_parser_serves_every_call_without_leaking_state(tmp_path, monkeypatch, capsys):
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    monkeypatch.setenv("MADTN_OUT_DIR", str(first))
+    assert run(capsys, "simulate", TASK, "--seed", "1")[0] == 0
+    monkeypatch.setenv("MADTN_OUT_DIR", str(second))
+    assert run(capsys, "simulate", TASK, "--seed", "2")[0] == 0
+    assert [p.name for p in first.iterdir()] == ["trace-1.json"]
+    assert [p.name for p in second.iterdir()] == ["trace-2.json"]
+
+    trace_file = str(first / "trace-1.json")
+    code, out, _ = run(capsys, "analyze", TASK, trace_file, "--output", "text")
+    assert code == 0
+    assert out.startswith("agents: human, robot\n")
+    code, out, _ = run(capsys, "analyze", TASK, trace_file)
+    assert code == 0
+    assert json.loads(out)["agents"] == ["human", "robot"]
+
+    helps = [run(capsys, "--help") for _ in range(2)]
+    assert [code for code, _, _ in helps] == [0, 0]
+    assert helps[0] == helps[1]
+    usages = [run(capsys, "simulate", TASK) for _ in range(2)]
+    assert [code for code, _, _ in usages] == [2, 2]
+    assert usages[0] == usages[1]
 
 
 def test_simulate_reads_a_profiles_file(tmp_path, capsys, packaging):

@@ -436,6 +436,75 @@ def test_infinite_floats_never_reach_the_json_layer(packaging):
     assert math.inf not in json.loads(text).get("constraints", [{}])[0].values()
 
 
+# Strings that escape, look like the joints between items of an indented
+# list, or leave ASCII; keys of every type json accepts.
+tricky_text = st.sampled_from(
+    ['"', "\\", "a\nb", "},", "],", "},\n    {", "],\n  [", "é", "漢字", ""]
+) | st.text(max_size=6)
+scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats() | tricky_text
+    | st.sampled_from(list(ConstraintKind))
+)
+keys = (
+    tricky_text | st.sampled_from(list(ConstraintKind)) | st.integers()
+    | st.floats() | st.booleans() | st.none()
+)
+flat_dicts = st.dictionaries(keys, scalars, min_size=1, max_size=4)
+flat_lists = st.lists(scalars, min_size=1, max_size=4)
+documents = st.recursive(
+    scalars
+    | st.lists(flat_dicts | st.just({}), max_size=4)
+    | st.lists(flat_lists | st.just([]), max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(keys, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents)
+def test_writer_matches_the_stdlib(value):
+    try:
+        expected = json.dumps(value, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        with pytest.raises(DocumentError):
+            dump_document(value)
+    else:
+        assert dump_document(value) == expected
+
+
+def test_written_documents_match_the_stdlib(packaging):
+    def stdlib(document):
+        return json.dumps(document, indent=2, allow_nan=False) + "\n"
+
+    daisy = packaging.daisy
+    profiles = {"human": BehaviorProfile(duration_mode=DurationMode.UNIFORM,
+                                         reaction_delay=0.3)}
+    written = [daisy_document(packaging)]
+    for seed in range(5):
+        trace = simulate(daisy, profiles=profiles, seed=seed)
+        written.append(trace_document(TraceDocument(trace=trace, daisy="p.json")))
+        written.append(report_document(fluency_report(daisy, trace)))
+    for document in written:
+        assert dump_document(document) == stdlib(document)
+
+
+def test_non_finite_output_names_its_path():
+    with pytest.raises(DocumentError) as excinfo:
+        dump_document({"events": [{"end": 1.0}, {"end": 2.0}, {"end": math.inf}]})
+    assert excinfo.value.errors == ["events[2].end: inf is not a finite number"]
+    with pytest.raises(DocumentError) as excinfo:
+        dump_document({"window": {"makespan": -math.inf}, "x": [[0.0, math.nan]]})
+    assert excinfo.value.errors == ["window.makespan: -inf is not a finite number"]
+    with pytest.raises(DocumentError) as excinfo:
+        dump_document(math.nan)
+    assert excinfo.value.errors == ["top level: nan is not a finite number"]
+    with pytest.raises(DocumentError) as excinfo:
+        dump_document({"a": {math.inf: 1}})
+    assert excinfo.value.errors == ["a: key inf is not a finite number"]
+
+
 def test_non_finite_numbers_are_rejected_with_their_paths():
     # Python's json reads NaN and Infinity tokens; the documents must not.
     trace = (
