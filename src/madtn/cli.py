@@ -267,8 +267,10 @@ def _cmd_analyze(args) -> int:
     _, daisy = _load_task(args)
     trace = files.load_trace(args.trace).trace
     report = fluency_report(daisy, trace)
+    # The JSON form refuses a non-finite figure, so text output does too.
+    document = files.dump_document(files.report_document(report))
     if args.output == "json":
-        sys.stdout.write(files.dump_document(files.report_document(report)))
+        sys.stdout.write(document)
     else:
         for line in _report_lines(report):
             print(line)

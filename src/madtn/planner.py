@@ -138,14 +138,17 @@ def enumerate_orders(daisy: Daisy, limit: int | None = 1000) -> list[tuple[str, 
     ``limit`` verified orders are returned (pass ``None`` to exhaust the
     space; the default keeps accidental factorial blowups desk-sized).
 
-    Orders differ only in how each agent's petals are sequenced, so the
-    task is compiled and solved once without sequencing, and a candidate is
-    checked by adding its sequencing constraints to that solved network
-    with ``add_arc``: one arc for each petal placed after another petal of
-    the same owner. A stack holds the arc each placed petal added. The next
-    candidate pops it back to the prefix both share and places only the
-    rest, and once a prefix closes a negative cycle, every candidate that
-    shares it is rejected with no solver work. A cyclic precedence raises
+    Each agent sequences only its own petals, so an order's network depends
+    only on its projection: each agent's own sequence of petals. The task
+    is compiled and solved once without sequencing, and each projection is
+    checked once, by adding its sequencing constraints to that solved
+    network with ``add_arc``: one arc for each petal placed after another
+    petal of the same owner. Every later candidate with the same projection
+    takes the saved verdict. Each owner keeps a stack of its placed petals
+    and the arcs they added. A new projection first pops every owner's
+    stack back to the prefix it shares with that owner's new sequence, and
+    only then adds the missing arcs, so no arc of an earlier projection is
+    left to reject it. A cyclic precedence raises
     ``CyclicPrecedenceError`` before anything is compiled, and a limit of 0
     or less compiles nothing.
     """
@@ -156,47 +159,54 @@ def enumerate_orders(daisy: Daisy, limit: int | None = 1000) -> list[tuple[str, 
     if not graph.consistent:
         return []
     arcs, potential = graph.arcs(), list(graph.potential)
-    latest: dict[str, Petal | None] = {}  # each owner's last placed petal
-    # Per placed petal: the petal, its owner's petal before it, and the
-    # tail of the arc it added (-1 for none).
-    placed: list[tuple[Petal, Petal | None, int]] = []
-    previous: tuple[str, ...] = ()
-    rejected_at: int | None = None  # the placement that closed a negative cycle
+    owner_of = {petal.name: petal.owner for petal in daisy.petals}
+    # Per owner: each placed petal and the tail of the arc it added (-1 for
+    # none). A petal's first start is the tail of at most one sequencing
+    # arc, so ``arcs[tail].pop()`` takes back exactly that petal's arc.
+    stacks: dict[str, list[tuple[Petal, int]]] = {a.id: [] for a in daisy.agents}
+
+    def check(sequences: dict[str, list[str]]) -> bool:
+        # Pop every owner back before adding any arc: an arc left from
+        # another owner's earlier sequence could reject a consistent order.
+        for owner, stack in stacks.items():
+            shared = 0
+            for (petal, _), name in zip(stack, sequences[owner]):
+                if petal.name != name:
+                    break
+                shared += 1
+            while len(stack) > shared:
+                tail = stack.pop()[1]
+                if tail >= 0:
+                    arcs[tail].pop()  # removing an arc keeps the potential feasible
+        for owner, stack in stacks.items():
+            for name in sequences[owner][len(stack):]:
+                petal = daisy.petal(name)
+                tail = -1
+                if stack:
+                    # A lower bound with no upper one is the single arc
+                    # target -> source weighing -lower.
+                    c = sequencing_constraint(stack[-1][0], petal)
+                    tail = graph.position(c.target)
+                    if not add_arc(arcs, potential, tail, graph.position(c.source), -c.lower):
+                        return False
+                stack.append((petal, tail))
+        return True
+
+    verdicts: dict[tuple[tuple[str, ...], ...], bool] = {}  # by projection
     verified: list[tuple[str, ...]] = []
     # The limit is checked before the next candidate is drawn.
     while limit is None or len(verified) < limit:
         order = next(candidates, None)
         if order is None:
             break
-        shared = 0
-        for name, previous_name in zip(order, previous):
-            if name != previous_name:
-                break
-            shared += 1
-        previous = order
-        if rejected_at is not None and rejected_at < shared:
-            continue
-        rejected_at = None
-        while len(placed) > shared:
-            petal, before, tail = placed.pop()
-            latest[petal.owner] = before
-            if tail >= 0:
-                arcs[tail].pop()  # removing an arc keeps the potential feasible
-        for position in range(shared, len(order)):
-            petal = daisy.petal(order[position])
-            before = latest.get(petal.owner)
-            tail = -1
-            if before is not None:
-                # A lower bound with no upper one is the single arc
-                # target -> source weighing -lower.
-                c = sequencing_constraint(before, petal)
-                tail = graph.position(c.target)
-                if not add_arc(arcs, potential, tail, graph.position(c.source), -c.lower):
-                    rejected_at = position
-                    break
-            latest[petal.owner] = petal
-            placed.append((petal, before, tail))
-        else:
+        sequences: dict[str, list[str]] = {owner: [] for owner in stacks}
+        for name in order:
+            sequences[owner_of[name]].append(name)
+        key = tuple(map(tuple, sequences.values()))
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = verdicts[key] = check(sequences)
+        if verdict:
             verified.append(order)
     return verified
 

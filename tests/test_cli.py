@@ -185,9 +185,10 @@ def test_analyze_reports_a_makespan_that_overflows(tmp_path, capsys):
     doc["start_time"] = -1.7e308
     doc["events"][-1]["end"] = 1.7e308
     trace_file.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "analyze", TASK, str(trace_file))
-    assert (code, out) == (1, "")
-    assert err == "error: window.makespan: inf is not a finite number\n"
+    for flags in ((), ("--output", "text")):
+        code, out, err = run(capsys, "analyze", TASK, str(trace_file), *flags)
+        assert (code, out) == (1, ""), flags
+        assert err == "error: window.makespan: inf is not a finite number\n", flags
 
 
 def test_usage_errors_exit_2(capsys):

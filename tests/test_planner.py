@@ -21,6 +21,7 @@ from madtn import (
     build_action,
     build_petal,
     compile_to_stn,
+    earliest_schedule,
     enumerate_orders,
     greedy_assign,
     linear_extensions,
@@ -329,6 +330,106 @@ def test_enumerate_orders_equals_the_brute_force_filter():
     assert min(seen.values()) >= 20, seen
 
 
+def test_a_new_projection_meets_no_arc_of_the_last_one():
+    # Three agents, one-second petals, no petal precedence. The "other"
+    # constraints (lower bound 0) close a negative cycle through B when the
+    # a-agent runs A2 before A1 and the c-agent runs C2 before C1:
+    # A2.end <= A1.start <= B.start <= C2.start < C2.end <= C1.start <= A2.start.
+    one_second = {name: build_action("work", 1.0, 1.0) for name in ("A1", "A2", "B", "C1", "C2")}
+    petals = tuple(build_petal(name, [a], owner=name[0].lower()) for name, a in one_second.items())
+
+    def no_later(first, then):
+        return ExternalConstraint(
+            ConstraintKind.OTHER, one_second[first].start, one_second[then].start, 0.0, INF
+        )
+
+    daisy = Daisy(
+        (Agent("a"), Agent("b"), Agent("c")),
+        petals,
+        (no_later("A1", "B"), no_later("B", "C2"), no_later("C1", "A2")),
+    )
+    # The candidates starting with A1 leave the c-agent's C2 -> C1 arc in
+    # place, and the next projection swaps A1 and A2 but also C1 and C2.
+    # Placing A2 -> A1 next to that stale arc rejects a consistent order.
+    orders = enumerate_orders(daisy, limit=None)
+    assert orders == brute_orders(daisy)
+    assert len(orders) == 90  # 120 candidates less the 30 running A2 and C2 first
+    assert ("A2", "A1", "B", "C1", "C2") in orders
+
+
+def projection(daisy, order):
+    """Each agent's own petal sequence in ``order``, in ``daisy.agents`` order."""
+    return tuple(
+        tuple(name for name in order if daisy.petal(name).owner == agent.id)
+        for agent in daisy.agents
+    )
+
+
+def count_add_arc(monkeypatch, daisy, limit):
+    """``enumerate_orders`` with its ``add_arc`` calls counted per candidate."""
+    drawn = []
+    calls = Counter()
+    extensions, add_arc = planner.linear_extensions, planner.add_arc
+
+    def drawing(precedence, limit=None):
+        for order in extensions(precedence, limit):
+            drawn.append(order)
+            yield order
+
+    def counted(*args):
+        calls[drawn[-1]] += 1
+        return add_arc(*args)
+
+    monkeypatch.setattr(planner, "linear_extensions", drawing)
+    monkeypatch.setattr(planner, "add_arc", counted)
+    return enumerate_orders(daisy, limit=limit), drawn, calls
+
+
+def lanes_daisy(seed, per_lane):
+    """Two lanes of four-action petals coupled as in ``perfbench``'s plan-orders.
+
+    Position ``k`` hands off robot to human in the first half of the lanes and
+    human to robot in the second; the makespan is capped at 1.1 times the
+    declared order's. Actions take about a second, so the orders the cap
+    admits depend on the shape alone.
+    """
+    rng = random.Random(seed)
+
+    def lane(owner):
+        petals = []
+        for k in range(per_lane):
+            actions = []
+            for j in range(4):
+                lower = rng.uniform(0.95, 1.05)
+                actions.append(build_action(f"a{j}", lower, lower + rng.uniform(0.5, 1.5)))
+            petals.append(build_petal(f"{owner[0].upper()}{k:02d}", actions, owner=owner))
+        return petals
+
+    pairs = list(zip(lane("human"), lane("robot")))
+    handoffs = []
+    for k, (human, robot) in enumerate(pairs):
+        source, target = (robot, human) if 2 * k < per_lane else (human, robot)
+        handoffs.append(ExternalConstraint(
+            ConstraintKind.HANDOFF, source.last.end, target.first.start, 0.0, INF
+        ))
+    petals = tuple(p for pair in pairs for p in pair)
+    daisy = Daisy((Agent("human"), Agent("robot")), petals, tuple(handoffs))
+    makespan = earliest_schedule(compile_to_stn(daisy))[daisy.end]
+    cap = ExternalConstraint(ConstraintKind.MAKESPAN, daisy.start, daisy.end, 0.0, 1.1 * makespan)
+    return Daisy(daisy.agents, petals, (*handoffs, cap), start=daisy.start, end=daisy.end)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_plan_orders_checks_each_projection_once(monkeypatch, seed):
+    daisy = lanes_daisy(seed, per_lane=6)
+    orders, drawn, calls = count_add_arc(monkeypatch, daisy, limit=100)
+    assert len(orders) == 100 and len(drawn) == 194
+    assert len({projection(daisy, order) for order in drawn}) == 64
+    checked = [projection(daisy, order) for order in calls]
+    assert len(checked) == len(set(checked))  # no projection is checked twice
+    assert sum(calls.values()) <= 185  # 566 when one stack held every arc
+
+
 def test_precedence_cycles_are_raised_before_compile_errors():
     unowned = chained_daisy(lower=0.5)
     unowned = unowned.with_petals(
@@ -380,3 +481,20 @@ def test_enumerate_orders_compiles_and_solves_once(monkeypatch):
     monkeypatch.setattr(planner, "solve", counting("solve", planner.solve))
     assert enumerate_orders(daisy, limit=None) == expected
     assert calls == {"compile": 1, "solve": 1}
+
+
+def test_enumerate_orders_checks_each_projection_once(monkeypatch):
+    # The task of ``test_enumerate_orders_compiles_and_solves_once``.
+    durations = {"h0": 2.0, "h1": 2.0, "h2": 1.0, "r0": 1.0, "r1": 2.0, "r2": 3.0}
+    petals = tuple(
+        build_petal(name, [build_action("work", lower, lower)], owner=name[0])
+        for name, lower in durations.items()
+    )
+    start = TimePoint("task.start")
+    deadline = ExternalConstraint(ConstraintKind.OTHER, start, petals[2].last.end, -INF, 3.0)
+    daisy = Daisy((Agent("h"), Agent("r")), petals, (deadline,), start=start)
+    orders, drawn, calls = count_add_arc(monkeypatch, daisy, limit=None)
+    assert len(orders) == 480 and len(drawn) == 720
+    checked = [projection(daisy, order) for order in calls]
+    assert len(checked) == len(set(checked)) <= 36  # 3! x 3! projections
+    assert sum(calls.values()) <= 70  # 1 692 when one stack held every arc
