@@ -62,6 +62,18 @@ class Action:
     end: TimePoint = field(init=False)
 
     def __post_init__(self):
+        lower, upper = self.lower, self.upper
+        # Float bounds in order pass every check below; any other value goes
+        # through them in turn and raises what they raise.
+        if not (
+            lower.__class__ is float and upper.__class__ is float
+            and 0.0 <= lower <= upper and lower != INF
+        ):
+            self._check_bounds()
+        object.__setattr__(self, "start", TimePoint(label=f"{self.name}.start"))
+        object.__setattr__(self, "end", TimePoint(label=f"{self.name}.end"))
+
+    def _check_bounds(self) -> None:
         if math.isnan(self.lower) or math.isnan(self.upper):
             raise InvertedBoundsError(f"action {self.name!r} has NaN duration bounds")
         if self.lower < 0:
@@ -77,8 +89,6 @@ class Action:
             raise InvertedBoundsError(
                 f"action {self.name!r} minimum duration may not be infinite"
             )
-        object.__setattr__(self, "start", TimePoint(label=f"{self.name}.start"))
-        object.__setattr__(self, "end", TimePoint(label=f"{self.name}.end"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,6 +197,13 @@ class Daisy:
     def _violations(self) -> tuple[str, ...]:
         """What ``validate_daisy`` reports, found once: the model is frozen."""
         return tuple(_find_violations(self))
+
+    @functools.cached_property
+    def _networks(self) -> dict[Hashable, STN]:
+        """Networks compiled for ``simulate`` and ``validate_trace``, keyed
+        by ordering and transition; they only read them, and they go with
+        the task."""
+        return {}
 
     def petal(self, name: str) -> Petal:
         try:

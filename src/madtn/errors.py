@@ -107,7 +107,7 @@ class CoverageError(MadtnError):
 
 
 class UnknownAgentError(MadtnError):
-    """The named agent is not part of the trace."""
+    """The named agent is not part of the trace, or not declared by the task."""
 
 
 class AgentCountError(MadtnError):

@@ -728,6 +728,17 @@ def _parse_actions(raw: Any, path: str, errors: list[str]) -> list[Action] | Non
         return None
     actions: list[Action] = []
     for j, item in enumerate(raw):
+        # A plain object of exactly these three fields, with a name and
+        # finite float bounds in order, passes every check below.
+        if item.__class__ is dict and len(item) == 3:
+            name, lower, upper = item.get("name"), item.get("lower"), item.get("upper")
+            if (
+                name.__class__ is str and name
+                and lower.__class__ is float and upper.__class__ is float
+                and 0.0 <= lower <= upper < INF
+            ):
+                actions.append(Action(name=name, lower=lower, upper=upper))
+                continue
         where = f"{path}.actions[{j}]"
         if not _is_object(item):
             errors.append(f"{where}: expected an object")
@@ -799,6 +810,19 @@ def _resolve_vertex(
 
 
 def _parse_event(item: Any, path: str, errors: list[str]) -> ExecutionEvent | None:
+    # A plain object of exactly the five fields, with names and finite float
+    # times in order, passes every check below.
+    if item.__class__ is dict and len(item) == 5:
+        agent, petal, action = item.get("agent"), item.get("petal"), item.get("action")
+        start, end = item.get("start"), item.get("end")
+        if (
+            agent.__class__ is str and agent
+            and petal.__class__ is str and petal
+            and action.__class__ is str and action
+            and start.__class__ is float and end.__class__ is float
+            and -INF < start <= end < INF
+        ):
+            return ExecutionEvent(agent=agent, petal=petal, action=action, start=start, end=end)
     if not _is_object(item):
         errors.append(f"{path}: expected an event object")
         return None

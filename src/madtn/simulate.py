@@ -25,8 +25,13 @@ from typing import Mapping, Sequence
 
 from .daisy import Action, ConstraintKind, Daisy, ExternalConstraint, Petal
 from .daisy import _transition, compile_to_stn, find_cycle
-from .errors import CoverageError, DeadlockError, InconsistentOrderingError
-from .stn import TemporalConstraint, TimePoint, check_schedule
+from .errors import (
+    CoverageError,
+    DeadlockError,
+    InconsistentOrderingError,
+    UnknownAgentError,
+)
+from .stn import STN, TemporalConstraint, TimePoint, check_schedule
 
 
 class DurationMode(str, Enum):
@@ -96,6 +101,10 @@ class ExecutionEvent:
     end: float
 
     def __post_init__(self):
+        start, end = self.start, self.end
+        # Floats in order pass both checks below; anything else meets them.
+        if start.__class__ is float and end.__class__ is float and start <= end:
+            return
         if math.isnan(self.start) or math.isnan(self.end):
             raise ValueError(f"event times may not be NaN: {self.start}, {self.end}")
         if self.start > self.end:
@@ -156,10 +165,17 @@ def simulate(
 ) -> Trace:
     """Execute a fully assigned daisy once and return the trace.
 
-    Agents missing from ``profiles`` run the punctual default. ``ordering``
-    and ``transition_lower`` mean the same as in ``compile_to_stn``; the
-    same values must be passed to ``validate_trace`` for a meaningful
-    feasibility verdict.
+    Agents missing from ``profiles`` run the punctual default; a profile for
+    an agent the task does not declare raises ``UnknownAgentError``.
+    ``ordering`` and ``transition_lower`` mean the same as in
+    ``compile_to_stn``; the same values must be passed to ``validate_trace``
+    for a meaningful feasibility verdict.
+
+    The network the ``feasible`` flag is checked against is compiled once
+    per task, ordering and transition, and kept with the ``Daisy``, which is
+    frozen: repeated runs and ``validate_trace`` share it and only read it.
+    That is a memo, not an option; there is no parameter to pass a network,
+    and ``compile_to_stn`` still returns a fresh network to each caller.
 
     An action waits for its agent's previous action (plus the transition gap
     when the agent switches petals) and for every constraint that can hold
@@ -171,8 +187,15 @@ def simulate(
     Raises ``DeadlockError`` when cross-petal waits form a cycle that no
     execution order can break.
     """
-    stn = compile_to_stn(daisy, ordering=ordering, transition_lower=transition_lower)
+    stn = _network(daisy, ordering, transition_lower)
     profiles = profiles or {}
+    profile_of = {a.id: profiles.get(a.id) or BehaviorProfile() for a in daisy.agents}
+    unknown = [agent_id for agent_id in profiles if agent_id not in profile_of]
+    if unknown:
+        raise UnknownAgentError(
+            f"profiles name agents the task does not declare: "
+            f"{', '.join(map(repr, unknown))}"
+        )
     order = daisy.petals if ordering is None else [daisy.petal(name) for name in ordering]
 
     queues: dict[str, list[tuple[Petal, Action]]] = {a.id: [] for a in daisy.agents}
@@ -192,6 +215,7 @@ def simulate(
         progressed = False
         for agent_id in agent_ids:
             queue = queues[agent_id]
+            profile, rng = profile_of[agent_id], rngs[agent_id]
             i = next_index[agent_id]
             while i < len(queue) and all(
                 c.source in times for c in gates.get(queue[i][1], ())
@@ -205,8 +229,7 @@ def simulate(
                     # between back-to-back actions of one petal.
                     if previous_petal is not petal:
                         free += _transition(transition_lower, agent_id)
-                profile = profiles.get(agent_id) or BehaviorProfile()
-                _run_action(action, free, gates.get(action, ()), times, profile, rngs[agent_id])
+                _run_action(action, free, gates.get(action, ()), times, profile, rng)
                 events.append(
                     ExecutionEvent(agent=agent_id, petal=petal.name, action=action.name,
                                    start=times[action.start], end=times[action.end])
@@ -226,6 +249,33 @@ def simulate(
         seed=seed,
         feasible=not check_schedule(stn, times),
     )
+
+
+def _network(
+    daisy: Daisy,
+    ordering: Sequence[str] | None,
+    transition_lower: float | Mapping[str, float],
+) -> STN:
+    """The compiled network of ``daisy``, built on first use and kept with it.
+
+    Only networks that compiled are kept, so a bad argument is reported by
+    ``compile_to_stn`` on every call; one that cannot key the memo at all
+    is handed to it unkept.
+    """
+    try:
+        key = (
+            None if ordering is None else tuple(ordering),
+            frozenset(transition_lower.items())
+            if isinstance(transition_lower, Mapping) else transition_lower,
+        )
+        stn = daisy._networks.get(key)
+    except TypeError:
+        return compile_to_stn(daisy, ordering=ordering, transition_lower=transition_lower)
+    if stn is None:
+        stn = daisy._networks[key] = compile_to_stn(
+            daisy, ordering=key[0], transition_lower=transition_lower
+        )
+    return stn
 
 
 def _start_gates(daisy: Daisy) -> dict[Action, list[ExternalConstraint]]:
@@ -357,7 +407,7 @@ def validate_trace(
     outside its bounds, an event before the trace start) are returned as
     the violated constraints, empty for a feasible trace.
     """
-    stn = compile_to_stn(daisy, ordering=ordering, transition_lower=transition_lower)
+    stn = _network(daisy, ordering, transition_lower)
     for before, after in zip(trace.events, trace.events[1:]):
         if after.start < before.start:
             raise InconsistentOrderingError(

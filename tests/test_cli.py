@@ -431,6 +431,23 @@ def test_simulate_reads_a_profiles_file(tmp_path, capsys, packaging):
     assert written == expected
 
 
+@pytest.mark.parametrize("agent", ["ghost", "humna"])
+def test_simulate_refuses_a_profile_for_an_undeclared_agent(tmp_path, capsys, agent):
+    profiles_file = tmp_path / "profiles.json"
+    profiles_file.write_text(json.dumps({agent: {"duration_mode": "uniform"}}))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code, out, err = run(
+        capsys, "simulate", TASK, "--seed", "1",
+        "--profiles", str(profiles_file), "--out", str(out_dir),
+    )
+    assert code == 1
+    assert out == ""
+    assert f"'{agent}'" in err
+    assert "Traceback" not in err
+    assert list(out_dir.iterdir()) == []
+
+
 def test_analyze_emits_json_or_text(tmp_path, capsys):
     code, _, _ = run(capsys, "simulate", TASK, "--seed", "0", "--out", str(tmp_path))
     assert code == 0

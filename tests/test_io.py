@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,10 +12,14 @@ from madtn import (
     GLOBAL_END_TOKEN,
     GLOBAL_START_TOKEN,
     INF,
+    Action,
     BehaviorProfile,
     ConstraintKind,
     DocumentError,
     DurationMode,
+    ExecutionEvent,
+    InvertedBoundsError,
+    NegativeDurationError,
     TraceDocument,
     daisy_document,
     dump_document,
@@ -530,6 +535,213 @@ def test_non_finite_numbers_are_rejected_with_their_paths():
     assert any(e.startswith("makespan[1]: expected a finite number or null") for e in errors)
     errors = failures(json.dumps(tiny_doc(makespan=[0.0, math.inf])))
     assert any(e.startswith("makespan[1]: expected a finite number or null") for e in errors)
+
+
+# -- one complaint per departure from a valid action or event ---------------
+
+#: Compares below ``inf`` as an integer, but overflows ``float()``.
+BIG = 10**400
+ACTION = {"name": "fetch", "lower": 1.0, "upper": 2.0}
+EVENT = {"agent": "a", "petal": "p", "action": "x", "start": 0.0, "end": 1.0}
+NO_ACTIONS = "petals[0]: petal 'supply' has no actions"
+
+
+def changed(base, **fields):
+    return {**base, **fields}
+
+
+def dropped(base, key):
+    return {k: v for k, v in base.items() if k != key}
+
+
+# Each near-valid action object, and either the canonical action it parses to
+# or the complaints about it. The outcomes were recorded before the parsers
+# gained their fast path for well-formed objects, which must fall through to
+# exactly these messages.
+ACTION_OUTCOMES = {
+    "plain": (ACTION, '{"name": "fetch", "lower": 1.0, "upper": 2.0}'),
+    "int lower": (changed(ACTION, lower=1), '{"name": "fetch", "lower": 1.0, "upper": 2.0}'),
+    "int upper": (changed(ACTION, upper=2), '{"name": "fetch", "lower": 1.0, "upper": 2.0}'),
+    "int bounds": (changed(ACTION, lower=0, upper=2),
+                   '{"name": "fetch", "lower": 0.0, "upper": 2.0}'),
+    "negative zero lower": (changed(ACTION, lower=-0.0),
+                            '{"name": "fetch", "lower": -0.0, "upper": 2.0}'),
+    "zero lower": (changed(ACTION, lower=0.0), '{"name": "fetch", "lower": 0.0, "upper": 2.0}'),
+    "equal bounds": (changed(ACTION, lower=2.0, upper=2.0),
+                     '{"name": "fetch", "lower": 2.0, "upper": 2.0}'),
+    "true lower": (changed(ACTION, lower=True), [
+        "petals[0].actions[0].lower: expected a finite number or null, got True", NO_ACTIONS]),
+    "true upper": (changed(ACTION, upper=True), [
+        "petals[0].actions[0].upper: expected a finite number or null, got True", NO_ACTIONS]),
+    "null lower": (changed(ACTION, lower=None), [
+        "petals[0].actions[0]: action 'fetch' has negative minimum duration -inf", NO_ACTIONS]),
+    "null upper": (changed(ACTION, upper=None), '{"name": "fetch", "lower": 1.0, "upper": null}'),
+    "missing upper": (dropped(ACTION, "upper"), '{"name": "fetch", "lower": 1.0, "upper": null}'),
+    "missing lower": (dropped(ACTION, "lower"), [
+        "petals[0].actions[0].lower: required", NO_ACTIONS]),
+    "missing name": (dropped(ACTION, "name"), [
+        "petals[0].actions[0].name: expected a non-empty string, got None", NO_ACTIONS]),
+    "nan lower": (changed(ACTION, lower=math.nan), [
+        "petals[0].actions[0].lower: expected a finite number or null, got nan", NO_ACTIONS]),
+    "nan upper": (changed(ACTION, upper=math.nan), [
+        "petals[0].actions[0].upper: expected a finite number or null, got nan", NO_ACTIONS]),
+    "inf lower": (changed(ACTION, lower=math.inf), [
+        "petals[0].actions[0].lower: expected a finite number or null, got inf", NO_ACTIONS]),
+    "inf upper": (changed(ACTION, upper=math.inf), [
+        "petals[0].actions[0].upper: expected a finite number or null, got inf", NO_ACTIONS]),
+    "-inf lower": (changed(ACTION, lower=-math.inf), [
+        "petals[0].actions[0].lower: expected a finite number or null, got -inf", NO_ACTIONS]),
+    "big lower": (changed(ACTION, lower=BIG), [
+        f"petals[0].actions[0].lower: expected a finite number or null, got {BIG}", NO_ACTIONS]),
+    "big upper": (changed(ACTION, upper=BIG), [
+        f"petals[0].actions[0].upper: expected a finite number or null, got {BIG}", NO_ACTIONS]),
+    "negative lower": (changed(ACTION, lower=-1.0), [
+        "petals[0].actions[0]: action 'fetch' has negative minimum duration -1.0", NO_ACTIONS]),
+    "inverted bounds": (changed(ACTION, lower=3.0, upper=2.0), [
+        "petals[0].actions[0]: action 'fetch' duration bounds [3.0, 2.0] are inverted",
+        NO_ACTIONS]),
+    "string lower": (changed(ACTION, lower="1"), [
+        "petals[0].actions[0].lower: expected a finite number or null, got '1'", NO_ACTIONS]),
+    "empty name": (changed(ACTION, name=""), [
+        "petals[0].actions[0].name: expected a non-empty string, got ''", NO_ACTIONS]),
+    "int name": (changed(ACTION, name=5), [
+        "petals[0].actions[0].name: expected a non-empty string, got 5", NO_ACTIONS]),
+    "null name": (changed(ACTION, name=None), [
+        "petals[0].actions[0].name: expected a non-empty string, got None", NO_ACTIONS]),
+    "extra key": (changed(ACTION, kind="x"), ["petals[0].actions[0].kind: unknown field"]),
+    "swapped key": (changed(dropped(ACTION, "upper"), kind=2.0),
+                    ["petals[0].actions[0].kind: unknown field"]),
+    "mapping": (MappingProxyType(ACTION), '{"name": "fetch", "lower": 1.0, "upper": 2.0}'),
+    "list": ([1.0, 2.0], ["petals[0].actions[0]: expected an object", NO_ACTIONS]),
+}
+
+
+@pytest.mark.parametrize("item, expected", ACTION_OUTCOMES.values(), ids=ACTION_OUTCOMES)
+def test_each_action_field_is_checked_once(item, expected):
+    doc = {"agents": [{"id": "x"}],
+           "petals": [{"name": "supply", "owner": "x", "actions": [item]}]}
+    if isinstance(expected, list):
+        assert failures(doc) == expected
+    else:
+        (action,) = daisy_document(parse_daisy(doc))["petals"][0]["actions"]
+        assert json.dumps(action) == expected
+
+
+EVENT_JSON = '{"agent": "a", "petal": "p", "action": "x", "start": 0.0, "end": 1.0}'
+
+#: As ``ACTION_OUTCOMES``, for near-valid event objects of a trace.
+EVENT_OUTCOMES = {
+    "plain": (EVENT, EVENT_JSON),
+    "int start": (changed(EVENT, start=0), EVENT_JSON),
+    "int end": (changed(EVENT, end=1), EVENT_JSON),
+    "negative zero start": (
+        changed(EVENT, start=-0.0, end=0.0),
+        '{"agent": "a", "petal": "p", "action": "x", "start": -0.0, "end": 0.0}'),
+    "equal times": (
+        changed(EVENT, start=1.0, end=1.0),
+        '{"agent": "a", "petal": "p", "action": "x", "start": 1.0, "end": 1.0}'),
+    "true end": (changed(EVENT, end=True), ["events[0].end: expected a finite number, got True"]),
+    "null start": (changed(EVENT, start=None),
+                   ["events[0].start: expected a finite number, got None"]),
+    "missing end": (dropped(EVENT, "end"), ["events[0].end: expected a finite number, got None"]),
+    "missing agent": (dropped(EVENT, "agent"),
+                      ["events[0].agent: expected a non-empty string, got None"]),
+    "nan start": (changed(EVENT, start=math.nan),
+                  ["events[0].start: expected a finite number, got nan"]),
+    "nan end": (changed(EVENT, end=math.nan), ["events[0].end: expected a finite number, got nan"]),
+    "inf end": (changed(EVENT, end=math.inf), ["events[0].end: expected a finite number, got inf"]),
+    "-inf start": (changed(EVENT, start=-math.inf),
+                   ["events[0].start: expected a finite number, got -inf"]),
+    "big end": (changed(EVENT, end=BIG), [f"events[0].end: expected a finite number, got {BIG}"]),
+    "inverted times": (changed(EVENT, start=2.0, end=1.0),
+                       ["events[0]: event for p.x ends at 1.0 before it starts at 2.0"]),
+    "string start": (changed(EVENT, start="0"),
+                     ["events[0].start: expected a finite number, got '0'"]),
+    "empty petal": (changed(EVENT, petal=""),
+                    ["events[0].petal: expected a non-empty string, got ''"]),
+    "int action": (changed(EVENT, action=3),
+                   ["events[0].action: expected a non-empty string, got 3"]),
+    "stranger agent": (changed(EVENT, agent="b"), ["events[0].agent: 'b' is not on the roster"]),
+    "extra key": (changed(EVENT, kind="start"), ["events[0].kind: unknown field"]),
+    "swapped key": (changed(dropped(EVENT, "end"), kind=1.0), [
+        "events[0].kind: unknown field", "events[0].end: expected a finite number, got None"]),
+    "mapping": (MappingProxyType(EVENT), EVENT_JSON),
+    "list": (["a", "p", "x", 0.0, 1.0], ["events[0]: expected an event object"]),
+}
+
+
+@pytest.mark.parametrize("item, expected", EVENT_OUTCOMES.values(), ids=EVENT_OUTCOMES)
+def test_each_event_field_is_checked_once(item, expected):
+    doc = {"agents": ["a"], "events": [item]}
+    if isinstance(expected, list):
+        with pytest.raises(DocumentError) as excinfo:
+            parse_trace(doc)
+        assert excinfo.value.errors == expected
+    else:
+        (event,) = trace_document(parse_trace(doc))["events"]
+        assert json.dumps(event) == expected
+
+
+# Direct construction: what each bound or time pair gives, or what it raises.
+CONSTRUCTED_ACTIONS = {
+    "floats": ((1.0, 2.0), (1.0, 2.0)),
+    "ints": ((1, 2), (1, 2)),
+    "default upper": ((1.0,), (1.0, INF)),
+    "negative zero": ((-0.0, 0.0), (-0.0, 0.0)),
+    "bools": ((False, True), (False, True)),
+    "nan lower": ((math.nan, 1.0), (InvertedBoundsError, "action 'a' has NaN duration bounds")),
+    "nan upper": ((1.0, math.nan), (InvertedBoundsError, "action 'a' has NaN duration bounds")),
+    "negative": ((-1.0, 1.0), (
+        NegativeDurationError, "action 'a' has negative minimum duration -1.0")),
+    "inverted": ((2.0, 1.0), (
+        InvertedBoundsError, "action 'a' duration bounds [2.0, 1.0] are inverted")),
+    "infinite lower": ((INF, INF), (
+        InvertedBoundsError, "action 'a' minimum duration may not be infinite")),
+    "-inf lower": ((-INF, 1.0), (
+        NegativeDurationError, "action 'a' has negative minimum duration -inf")),
+    "big ints": ((BIG, BIG * 10), (OverflowError, "int too large to convert to float")),
+    "string lower": (("1", 2.0), (TypeError, "must be real number, not str")),
+    "none upper": ((1.0, None), (TypeError, "must be real number, not NoneType")),
+}
+
+
+@pytest.mark.parametrize("bounds, expected", CONSTRUCTED_ACTIONS.values(),
+                         ids=CONSTRUCTED_ACTIONS)
+def test_action_bounds_raise_what_they_always_raised(bounds, expected):
+    if isinstance(expected[0], type):
+        kind, message = expected
+        with pytest.raises(kind) as excinfo:
+            Action("a", *bounds)
+        assert str(excinfo.value) == message
+    else:
+        action = Action("a", *bounds)
+        assert repr((action.lower, action.upper)) == repr(expected)
+
+
+CONSTRUCTED_EVENTS = {
+    "floats": ((0.0, 1.0), None),
+    "ints": ((0, 1), None),
+    "equal": ((1.0, 1.0), None),
+    "infinite": ((-INF, INF), None),
+    "nan start": ((math.nan, 1.0), (ValueError, "event times may not be NaN: nan, 1.0")),
+    "nan end": ((0.0, math.nan), (ValueError, "event times may not be NaN: 0.0, nan")),
+    "inverted": ((2.0, 1.0), (ValueError, "event for p.x ends at 1.0 before it starts at 2.0")),
+    "big ints": ((BIG, BIG * 10), (OverflowError, "int too large to convert to float")),
+    "string start": (("0", 1.0), (TypeError, "must be real number, not str")),
+    "none end": ((0.0, None), (TypeError, "must be real number, not NoneType")),
+}
+
+
+@pytest.mark.parametrize("times, expected", CONSTRUCTED_EVENTS.values(), ids=CONSTRUCTED_EVENTS)
+def test_event_times_raise_what_they_always_raised(times, expected):
+    if expected is None:
+        event = ExecutionEvent("a", "p", "x", *times)
+        assert repr((event.start, event.end)) == repr(times)
+        return
+    kind, message = expected
+    with pytest.raises(kind) as excinfo:
+        ExecutionEvent("a", "p", "x", *times)
+    assert str(excinfo.value) == message
 
 
 def fuzz_documents():

@@ -7,7 +7,9 @@ intended change to simulation output, regenerate them with
 """
 from __future__ import annotations
 
+import importlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -25,8 +27,10 @@ from madtn import (
     ExternalConstraint,
     InconsistentOrderingError,
     Trace,
+    UnknownAgentError,
     build_action,
     build_petal,
+    check_schedule,
     compile_to_stn,
     earliest_schedule,
     handoff_constraints,
@@ -41,6 +45,7 @@ from madtn.files import (
     parse_daisy,
     trace_document,
 )
+from madtn.simulate import realized_times
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -331,6 +336,66 @@ def test_validate_trace_rejects_time_regressions(packaging):
     backwards = tuple(reversed(trace.events))
     with pytest.raises(InconsistentOrderingError):
         validate_trace(daisy, doctored(trace, backwards))
+
+
+def count_compiles(monkeypatch):
+    """Count the compiles ``simulate`` and ``validate_trace`` ask for."""
+    module = importlib.import_module("madtn.simulate")
+    calls = Counter()
+    compile_ = module.compile_to_stn
+
+    def counted(daisy, *args, **kwargs):
+        calls[daisy] += 1
+        return compile_(daisy, *args, **kwargs)
+
+    monkeypatch.setattr(module, "compile_to_stn", counted)
+    return calls
+
+
+def test_one_network_serves_every_run_and_check(packaging, monkeypatch):
+    daisy = packaging.daisy
+    calls = count_compiles(monkeypatch)
+    traces = [simulate(daisy, profiles=busy_profiles(), seed=seed) for seed in range(10)]
+    assert validate_trace(daisy, traces[-1]) == []
+    assert calls == {daisy: 1}
+
+    simulate(daisy, seed=0, transition_lower=0.5)
+    simulate(daisy, seed=1, transition_lower=0.5)
+    assert calls == {daisy: 2}
+    order = ["Retrieve Object A", "Pack Object A", "Prepare and Pack Object B",
+             "Pack Object C", "Seal Package", "Deliver Package"]
+    simulate(daisy, ordering=order)
+    assert validate_trace(daisy, simulate(daisy, ordering=tuple(order)), ordering=order) == []
+    assert calls == {daisy: 3}
+
+    # Another task, even one with the same petals, compiles its own.
+    other = daisy.with_petals(daisy.petals)
+    simulate(other)
+    assert calls == {daisy: 3, other: 1}
+
+
+def test_a_network_a_caller_extends_changes_no_later_verdict(packaging):
+    daisy = packaging.daisy
+    ran = daisy.with_petals(daisy.petals)
+    simulate(ran, seed=2)  # its network is kept before the caller compiles
+    for task in (daisy, ran):
+        stn = compile_to_stn(task)
+        # A 1 s deadline that every run of the 7.5 s task misses.
+        stn.constrain(task.start, task.end, 0.0, 1.0)
+        trace = simulate(task, seed=2)
+        assert check_schedule(stn, realized_times(task, trace))
+        assert trace.feasible
+        assert validate_trace(task, trace) == []
+        assert compile_to_stn(task) is not stn
+
+
+def test_profiles_must_name_declared_agents(packaging):
+    ghost = {"ghost": BehaviorProfile(duration_mode=DurationMode.UNIFORM)}
+    with pytest.raises(UnknownAgentError, match="'ghost'"):
+        simulate(packaging.daisy, profiles=ghost)
+    typo = {"robot": BehaviorProfile(), "humna": BehaviorProfile()}
+    with pytest.raises(UnknownAgentError, match="'humna'"):
+        simulate(packaging.daisy, profiles=typo)
 
 
 def test_profile_argument_validation():
