@@ -10,6 +10,7 @@ sweep over a capability table.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
@@ -22,7 +23,7 @@ from .daisy import (
     sequencing_constraint,
 )
 from .errors import CyclicPrecedenceError, NoCapableAgentError
-from .stn import UNASSIGNED, add_arc, solve
+from .stn import UNASSIGNED, add_arc, fold_series, solve
 
 
 @dataclass(frozen=True)
@@ -88,43 +89,51 @@ def linear_extensions(
     if cycle is not None:
         raise CyclicPrecedenceError(cycle)
 
-    rank = {name: i for i, name in enumerate(precedence.petals)}
-    blockers: dict[str, set[str]] = {p: set() for p in precedence.petals}
+    names = precedence.petals
+    rank = {name: i for i, name in enumerate(names)}
+    after: list[list[int]] = [[] for _ in names]
+    waiting = [0] * len(names)  # each petal's predecessors not yet placed
     for a, b in precedence.edges:
-        blockers[b].add(a)
-
-    def ready(placed: set[str]) -> list[str]:
-        return sorted(
-            (p for p in precedence.petals if p not in placed and blockers[p] <= placed),
-            key=rank.__getitem__,
-        )
+        after[rank[a]].append(rank[b])
+        waiting[rank[b]] += 1
 
     def extend() -> Iterator[tuple[str, ...]]:
         # An explicit stack, so long chains of petals cannot exhaust
-        # Python's recursion limit: ``choices[k]`` holds the petals still
-        # to try in slot ``k``, and ``prefix`` the petals placed so far.
+        # Python's recursion limit. ``ready`` holds the unplaced petals with
+        # no unplaced predecessor, by rank; placing a petal and taking it
+        # back leave it as it was, so ``slots[k]`` holds slot ``k``'s petal
+        # and where it stood in ``ready``, and the next petal to try there
+        # stands one on.
         yielded = 0
+        ready = [i for i, count in enumerate(waiting) if not count]
         prefix: list[str] = []
-        placed: set[str] = set()
-        choices: list[Iterator[str]] = []
+        slots: list[tuple[int, int]] = []
+        choice = 0
         while limit is None or yielded < limit:
-            if len(prefix) == len(precedence.petals):
+            if len(prefix) == len(names):
                 yield tuple(prefix)
                 yielded += 1
-            else:
-                choices.append(iter(ready(placed)))
-            # Backtrack to the deepest slot with a petal left, and place it.
-            while choices:
-                if len(prefix) == len(choices):
-                    placed.discard(prefix.pop())
-                petal = next(choices[-1], None)
-                if petal is not None:
-                    prefix.append(petal)
-                    placed.add(petal)
-                    break
-                choices.pop()
-            else:
+            elif choice < len(ready):
+                petal = ready.pop(choice)
+                prefix.append(names[petal])
+                slots.append((choice, petal))
+                for later in after[petal]:
+                    waiting[later] -= 1
+                    if not waiting[later]:
+                        insort(ready, later)
+                choice = 0
+                continue
+            # Take back the last petal placed and try the next one in its slot.
+            if not prefix:
                 return
+            prefix.pop()
+            choice, petal = slots.pop()
+            for later in after[petal]:
+                if not waiting[later]:
+                    del ready[bisect_left(ready, later)]
+                waiting[later] += 1
+            ready.insert(choice, petal)
+            choice += 1
 
     return extend()
 
@@ -139,18 +148,23 @@ def enumerate_orders(daisy: Daisy, limit: int | None = 1000) -> list[tuple[str, 
     space; the default keeps accidental factorial blowups desk-sized).
 
     Each agent sequences only its own petals, so an order's network depends
-    only on its projection: each agent's own sequence of petals. The task
-    is compiled and solved once without sequencing, and each projection is
-    checked once, by adding its sequencing constraints to that solved
-    network with ``add_arc``: one arc for each petal placed after another
-    petal of the same owner. Every later candidate with the same projection
-    takes the saved verdict. Each owner keeps a stack of its placed petals
-    and the arcs they added. A new projection first pops every owner's
-    stack back to the prefix it shares with that owner's new sequence, and
-    only then adds the missing arcs, so no arc of an earlier projection is
-    left to reject it. A cyclic precedence raises
-    ``CyclicPrecedenceError`` before anything is compiled, and a limit of 0
-    or less compiles nothing.
+    only on its projection: each agent's own sequence of petals. The task is
+    compiled and solved once without sequencing. A sequencing arc joins one
+    petal's last end to the next petal's first start, so ``fold_series``
+    then folds out every other vertex with two neighbours: a petal's inner
+    action vertices become at most one arc each way between its ends, unless
+    a constraint ties them to a third vertex. Distances between the kept
+    vertices are those of the full network, so every verdict is too, and
+    each fall walks only the kept vertices. Each projection is checked once,
+    by adding its sequencing constraints to that folded network with
+    ``add_arc``: one arc for each petal placed after another petal of the
+    same owner. Every later candidate with the same projection takes the
+    saved verdict. Each owner keeps a stack of its placed petals and the
+    arcs they added. A new projection first pops every owner's stack back to
+    the prefix it shares with that owner's new sequence, and only then adds
+    the missing arcs, so no arc of an earlier projection is left to reject
+    it. A cyclic precedence raises ``CyclicPrecedenceError`` before anything
+    is compiled, and a limit of 0 or less compiles nothing.
     """
     candidates = linear_extensions(partial_order(daisy))
     if limit is not None and limit <= 0:
@@ -158,7 +172,12 @@ def enumerate_orders(daisy: Daisy, limit: int | None = 1000) -> list[tuple[str, 
     graph = solve(compile_to_stn(daisy, sequenced=False))
     if not graph.consistent:
         return []
-    arcs, potential = graph.arcs(), list(graph.potential)
+    ends = {daisy.start, daisy.end}
+    for petal in daisy.petals:
+        ends.update((petal.first.start, petal.last.end))
+    arcs, potential, position = fold_series(
+        graph.arcs(), graph.potential, {graph.position(point) for point in ends}
+    )
     owner_of = {petal.name: petal.owner for petal in daisy.petals}
     # Per owner: each placed petal and the tail of the arc it added (-1 for
     # none). A petal's first start is the tail of at most one sequencing
@@ -186,8 +205,9 @@ def enumerate_orders(daisy: Daisy, limit: int | None = 1000) -> list[tuple[str, 
                     # A lower bound with no upper one is the single arc
                     # target -> source weighing -lower.
                     c = sequencing_constraint(stack[-1][0], petal)
-                    tail = graph.position(c.target)
-                    if not add_arc(arcs, potential, tail, graph.position(c.source), -c.lower):
+                    tail = position[graph.position(c.target)]
+                    head = position[graph.position(c.source)]
+                    if not add_arc(arcs, potential, tail, head, -c.lower):
                         return False
                 stack.append((petal, tail))
         return True

@@ -20,6 +20,14 @@ reweighting), run outward from one vertex whose label has just fallen.
   labels are kept as ``DistanceGraph.potential``, and
   ``enumerate_orders`` extends them with ``add_arc`` instead of solving
   each candidate order.
+* ``fold_series`` first shrinks that arc set to the vertices new arcs
+  will touch. A vertex with exactly two neighbours adds no fill when it is
+  eliminated (series reduction, the degree-two case of P3C's vertex
+  elimination: Planken, de Weerdt & van der Krogt 2008), so each run of
+  such vertices becomes at most one arc per direction, and every later
+  fall walks the shorter network. A daisy's petal is such a run between
+  its first start and its last end, unless a constraint ties one of its
+  inner vertices to a third vertex.
 * A distance row runs from its source over the arcs. ``earliest_schedule``
   runs from the anchor over the reversed arcs with the potential negated,
   which gives each reversed arc the reduced cost of its forward arc.
@@ -51,7 +59,8 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from operator import itemgetter
+from typing import Collection, Mapping
 
 from .errors import (
     InconsistentNetworkError,
@@ -71,6 +80,7 @@ TOLERANCE = 1e-9
 UNASSIGNED = "unassigned"
 
 _uid_counter = itertools.count()
+_head = itemgetter(0)
 
 
 @dataclass(eq=False)
@@ -395,6 +405,76 @@ def add_arc(
             potential[v] = label
     successors[tail].append((head, weight))
     return True
+
+
+def fold_series(
+    successors: list[list[tuple[int, float]]],
+    potential: list[float],
+    keep: Collection[int],
+) -> tuple[list[list[tuple[int, float]]], list[float], list[int | None]]:
+    """The arc set with its series vertices folded out, for ``add_arc``.
+
+    A vertex not in ``keep`` folds out when it has exactly two neighbours
+    over the arcs either way. Arcs that run from one neighbour through a
+    run of folded vertices to the other compose into one arc, their weights
+    summed in chain order; a run whose arcs stop partway carries no path
+    and composes into none.
+
+    Exactness: a simple path or cycle that enters a folded vertex from one
+    neighbour leaves by the other, so every path between kept vertices
+    keeps its weight on the folded arcs and no path is added. Distances
+    between kept vertices are the same on both arc sets, and an arc between
+    kept vertices closes a cycle weighing below ``-TOLERANCE`` on one
+    exactly when it does on the other.
+
+    Tolerance guard: ``add_arc`` needs ``potential`` feasible for the arcs,
+    and a composed arc's reduced cost is the sum of its parts', which can
+    fall below ``-TOLERANCE`` when none of them does. Every vertex of a run
+    whose composed arc would do so is kept, and its arcs stay as they are.
+
+    ``successors`` and ``potential`` are left as they were. Returns the new
+    arcs and potential, over the kept vertices in their old order, and each
+    vertex's position in them: None for a folded vertex.
+    """
+    n = len(successors)
+    into: list[list[int]] = [[] for _ in range(n)]
+    for tail, out in enumerate(successors):
+        for head, _ in out:
+            into[head].append(tail)
+    kept = [
+        v for v in range(n) if v in keep or len({*into[v], *map(_head, successors[v])}) != 2
+    ]
+    position: list[int | None] = [None] * n
+    for i, v in enumerate(kept):
+        position[v] = i
+    folded: list[list[tuple[int, float]]] = []
+    unfold: list[int] = []
+    for tail in kept:
+        out = []
+        for head, weight in successors[tail]:
+            at = position[head]
+            if at is None:
+                run, previous = [], tail
+                while at is None:
+                    run.append(head)
+                    for onward, step in successors[head]:
+                        if onward != previous:
+                            break
+                    else:
+                        break  # no arc leaves the run here
+                    previous, head, weight = head, onward, weight + step
+                    at = position[head]
+                else:
+                    if potential[tail] + weight - potential[head] < -TOLERANCE:
+                        unfold += run
+                    elif head != tail:  # a cycle this light lowers no label
+                        out.append((at, weight))
+            else:
+                out.append((at, weight))
+        folded.append(out)
+    if unfold:
+        return fold_series(successors, potential, {*keep, *unfold})
+    return folded, [potential[v] for v in kept], position
 
 
 def _fall(

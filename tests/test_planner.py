@@ -29,6 +29,9 @@ from madtn import (
     solve,
 )
 from madtn import planner
+from madtn import stn as stn_module
+from madtn.stn import TOLERANCE, add_arc, fold_series
+from oracles import dense_distances
 
 
 def test_fixture_precedence_is_the_handoff_web(packaging):
@@ -498,3 +501,134 @@ def test_enumerate_orders_checks_each_projection_once(monkeypatch):
     checked = [projection(daisy, order) for order in calls]
     assert len(checked) == len(set(checked)) <= 36  # 3! x 3! projections
     assert sum(calls.values()) <= 70  # 1 692 when one stack held every arc
+
+
+# -- the folded network ----------------------------------------------------------
+
+
+def petal_ends(daisy):
+    return [daisy.start, daisy.end] + [
+        point for petal in daisy.petals for point in (petal.first.start, petal.last.end)
+    ]
+
+
+def test_folded_daisies_keep_distances_and_verdicts():
+    rng = random.Random(0xF01D)
+    seen = {"folded": 0, "sequencing": 0, "other": 0, "rejected": 0}
+    for _ in range(1000):
+        daisy = random_daisy(rng)
+        graph = solve(compile_to_stn(daisy, sequenced=False))
+        if not graph.consistent:
+            continue
+        full, potential = graph.arcs(), list(graph.potential)
+        keep = {graph.position(point) for point in petal_ends(daisy)}
+        arcs, reduced, position = fold_series(full, potential, keep)
+        kept = [v for v, at in enumerate(position) if at is not None]
+        seen["folded"] += len(kept) < len(full)
+        rows = dense_distances(
+            len(kept), [(u, v, -INF, w) for u, out in enumerate(arcs) for v, w in out]
+        )[1]
+        points = [graph.points[v] for v in kept]
+        assert [[graph.distance(p, q) for q in points] for p in points] == rows
+        # Sequencing arcs, from a petal's first start back to another's last
+        # end, and arcs between any two kept vertices.
+        for _ in range(rng.randint(1, 6)):
+            if rng.random() < 0.5:
+                before, after = rng.choice(daisy.petals), rng.choice(daisy.petals)
+                tail = graph.position(after.first.start)
+                head = graph.position(before.last.end)
+                weight = -dyadic(rng, 0, 2)
+                seen["sequencing"] += 1
+            else:
+                tail, head, weight = rng.choice(kept), rng.choice(kept), dyadic(rng, -4, 4)
+                seen["other"] += 1
+            verdict = add_arc(full, potential, tail, head, weight)
+            assert add_arc(arcs, reduced, position[tail], position[head], weight) == verdict
+            seen["rejected"] += not verdict
+    # Every kind of case must occur or the comparison proves little.
+    assert min(seen.values()) >= 20, seen
+
+
+def three_action_lanes(case):
+    """Two agents with two petals of three actions each, and a 7 s bound.
+
+    ``case`` names the inner vertex that must stay in the folded network:
+    the two ends of a handoff between middle actions, the end of a middle
+    action that must come by 7 s, or every inner vertex of ``H1``, whose
+    actions last 2**-31 s at least: their lower bounds, each within
+    TOLERANCE of the zero potential the solve leaves there, sum to below
+    ``-TOLERANCE`` along the petal.
+    """
+    petals = {
+        name: build_petal(
+            name,
+            [
+                build_action(action, 2.0**-31 if (case, name) == ("light run", "H1") else 1.0, 2.0)
+                for action in "abc"
+            ],
+            owner=name[0].lower(),
+        )
+        for name in ("H0", "R0", "H1", "R1")
+    }
+    h0, r0, h1, _ = petals.values()
+    start, end = TimePoint("task.start"), TimePoint("task.end")
+    if case == "mid-petal handoff":
+        source, target = r0.actions[1].end, h0.actions[1].start
+    else:
+        source, target = r0.last.end, h0.first.start
+    constraints = [ExternalConstraint(ConstraintKind.HANDOFF, source, target, 0.0, INF)]
+    if case == "inner deadline":
+        constraints.append(ExternalConstraint(ConstraintKind.OTHER, start, h0.actions[1].end, -INF, 7.0))
+    else:
+        constraints.append(ExternalConstraint(ConstraintKind.MAKESPAN, start, end, 0.0, 7.0))
+    stays = {
+        "mid-petal handoff": {source, target},
+        "inner deadline": {h0.actions[1].end},
+        "light run": {point for action in h1.actions for point in (action.start, action.end)},
+    }[case]
+    daisy = Daisy((Agent("h"), Agent("r")), tuple(petals.values()), tuple(constraints), start, end)
+    return daisy, stays
+
+
+@pytest.mark.parametrize("case", ["mid-petal handoff", "inner deadline", "light run"])
+def test_plan_keeps_the_inner_vertices_it_needs(monkeypatch, case):
+    daisy, stays = three_action_lanes(case)
+    folds = []
+    fold = planner.fold_series
+
+    def recording(*args):
+        folds.append(fold(*args))
+        return folds[-1]
+
+    monkeypatch.setattr(planner, "fold_series", recording)
+    orders = enumerate_orders(daisy, limit=None)
+    expected = brute_orders(daisy)
+    assert orders == expected and 0 < len(expected) < 12
+    (_, _, position), = folds
+    points = compile_to_stn(daisy, sequenced=False).timepoints
+    kept = {point for point, at in zip(points, position) if at is not None}
+    assert stays <= kept
+    assert len(kept) < len(points)  # other inner vertices did fold
+    if case == "light run":
+        # The solve leaves H1's labels at zero, where its run of three lower
+        # bounds, folded, would weigh -3 * 2**-31 s.
+        graph = solve(compile_to_stn(daisy, sequenced=False))
+        assert {graph.potential[graph.position(point)] for point in stays} == {0.0}
+        assert -3 * 2.0**-31 < -TOLERANCE
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_plan_orders_lowers_few_labels(monkeypatch, seed):
+    daisy = lanes_daisy(seed, per_lane=6)
+    lowered = []
+    fall = stn_module._fall
+
+    def counted(*args):
+        labels, settled = fall(*args)
+        lowered.append(len(labels))
+        return labels, settled
+
+    monkeypatch.setattr(stn_module, "_fall", counted)
+    assert len(enumerate_orders(daisy, limit=100)) == 100
+    # Seed 1 lowers 7 464 labels and seed 7 7 370 when every vertex is kept.
+    assert sum(lowered) <= 2030

@@ -33,7 +33,7 @@ from madtn import (
     solve,
 )
 from madtn import stn as stn_module
-from madtn.stn import TOLERANCE, add_arc
+from madtn.stn import TOLERANCE, add_arc, fold_series
 from conftest import stn_as_tuples, stn_from_tuples
 from oracles import (
     brute_consistent,
@@ -277,6 +277,86 @@ def test_add_arc_ends_on_a_cycle_no_arc_shows():
     assert verdict is False
     assert potential == [0.0] * 4
     assert successors[3] == []
+
+
+def as_constraints(arcs):
+    """Arc lists as oracle constraints: one upper bound per arc."""
+    return [(u, v, -INF, w) for u, out in enumerate(arcs) for v, w in out]
+
+
+def test_fold_series_keeps_distances_and_verdicts():
+    rng = random.Random(0xF01D)
+    seen = {"folded": 0, "composed": 0, "rejected": 0, "accepted": 0}
+    for _ in range(250):
+        n, constraints = random_dyadic_case(rng, max_points=20)
+        graph = solve(stn_from_tuples(n, constraints))
+        if not graph.consistent:
+            continue
+        keep = {v for v in range(n) if rng.random() < 0.3}
+        full, potential = graph.arcs(), list(graph.potential)
+        arcs, reduced, position = fold_series(full, potential, keep)
+        assert (full, potential) == (graph.arcs(), graph.potential)  # left as they were
+        kept = [v for v in range(n) if position[v] is not None]
+        assert keep <= set(kept)
+        assert [position[v] for v in kept] == list(range(len(kept)))
+        assert reduced == [potential[v] for v in kept]
+        direct = {(position[u], v, w) for u in kept for v, w in full[u]}
+        seen["folded"] += len(kept) < n
+        seen["composed"] += any(
+            (u, kept[v], w) not in direct for u, out in enumerate(arcs) for v, w in out
+        )
+
+        def same_distances():
+            d = dense_distances(n, as_constraints(full))[1]
+            folded = dense_distances(len(kept), as_constraints(arcs))[1]
+            assert [[d[u][v] for v in kept] for u in kept] == folded
+            assert all(
+                reduced[u] + w - reduced[v] >= -TOLERANCE
+                for u, out in enumerate(arcs)
+                for v, w in out
+            )
+            return d
+
+        # Arcs between kept vertices get one verdict on both arc sets, and
+        # popping the last one added takes it back off both.
+        d, added = same_distances(), []
+        for _ in range(rng.randint(1, 8) if kept else 0):
+            tail, head = rng.choice(kept), rng.choice(kept)
+            offset = rng.randint(-16, 16) / 8
+            weight = offset - d[head][tail] if d[head][tail] < INF else offset
+            verdict = add_arc(full, potential, tail, head, weight)
+            assert add_arc(arcs, reduced, position[tail], position[head], weight) == verdict
+            seen["accepted" if verdict else "rejected"] += 1
+            if verdict:
+                added.append((tail, head))
+            if added and rng.random() < 0.3:
+                tail, head = added.pop()
+                full[tail].pop()
+                arcs[position[tail]].pop()
+            d = same_distances()
+    # Every kind of case must actually occur or the comparison proves little.
+    assert min(seen.values()) >= 20, seen
+
+
+def test_fold_series_keeps_a_run_the_potential_cannot_carry():
+    def folded(weight):
+        # 0 <-> 1 <-> 2 <-> 3 <-> 4: forward arcs of 1 s, backward arcs of
+        # ``weight``, each within TOLERANCE of a zero potential.
+        successors = [[(1, 1.0)]] + [[(v - 1, weight), (v + 1, 1.0)] for v in (1, 2, 3)]
+        successors.append([(3, weight)])
+        return successors, fold_series(successors, [0.0] * 5, {0, 4})
+
+    # Four arcs of -2**-32 s compose to -2**-30 s, about -0.93 ns: folded.
+    successors, (arcs, potential, position) = folded(-(2.0**-32))
+    assert position == [0, None, None, None, 1]
+    assert arcs == [[(1, 4.0)], [(0, -(2.0**-30))]]
+    assert potential == [0.0, 0.0]
+    # Four arcs of -2**-31 s compose to about -1.86 ns, below -TOLERANCE
+    # under that potential: the run stays as it was.
+    successors, (arcs, potential, position) = folded(-(2.0**-31))
+    assert -(2.0**-29) < -TOLERANCE
+    assert position == [0, 1, 2, 3, 4]
+    assert arcs == successors
 
 
 def one_action_chain(petals: int) -> STN:
