@@ -46,7 +46,7 @@ class Agent:
             object.__setattr__(self, "name", self.id)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Action:
     """One indivisible piece of work with duration bounds in seconds.
 
@@ -61,8 +61,11 @@ class Action:
     start: TimePoint = field(init=False)
     end: TimePoint = field(init=False)
 
-    def __post_init__(self):
-        lower, upper = self.lower, self.upper
+    def __init__(self, name: str, lower: float, upper: float = INF):
+        # The fields go straight into the instance dict: a frozen dataclass
+        # would pay a setattr per field.
+        fields = self.__dict__
+        fields.update(name=name, lower=lower, upper=upper)
         # Float bounds in order pass every check below; any other value goes
         # through them in turn and raises what they raise.
         if not (
@@ -70,8 +73,8 @@ class Action:
             and 0.0 <= lower <= upper and lower != INF
         ):
             self._check_bounds()
-        object.__setattr__(self, "start", TimePoint(label=f"{self.name}.start"))
-        object.__setattr__(self, "end", TimePoint(label=f"{self.name}.end"))
+        fields["start"] = TimePoint(f"{name}.start")
+        fields["end"] = TimePoint(f"{name}.end")
 
     def _check_bounds(self) -> None:
         if math.isnan(self.lower) or math.isnan(self.upper):

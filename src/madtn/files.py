@@ -225,7 +225,7 @@ def parse_trace(source: str | Mapping[str, Any]) -> TraceDocument:
     else:
         previous = -math.inf
         for i, item in enumerate(raw_events):
-            event = _parse_event(item, f"events[{i}]", errors)
+            event = _parse_event(item, i, errors)
             if event is None:
                 continue
             if agents and event.agent not in agents:
@@ -809,9 +809,9 @@ def _resolve_vertex(
         return None
 
 
-def _parse_event(item: Any, path: str, errors: list[str]) -> ExecutionEvent | None:
+def _parse_event(item: Any, index: int, errors: list[str]) -> ExecutionEvent | None:
     # A plain object of exactly the five fields, with names and finite float
-    # times in order, passes every check below.
+    # times in order, passes every check below, and its path is never spelled.
     if item.__class__ is dict and len(item) == 5:
         agent, petal, action = item.get("agent"), item.get("petal"), item.get("action")
         start, end = item.get("start"), item.get("end")
@@ -822,7 +822,8 @@ def _parse_event(item: Any, path: str, errors: list[str]) -> ExecutionEvent | No
             and start.__class__ is float and end.__class__ is float
             and -INF < start <= end < INF
         ):
-            return ExecutionEvent(agent=agent, petal=petal, action=action, start=start, end=end)
+            return ExecutionEvent(agent, petal, action, start, end)
+    path = f"events[{index}]"
     if not _is_object(item):
         errors.append(f"{path}: expected an event object")
         return None

@@ -9,9 +9,22 @@ trace document may hold no event that starts before the trace does).
 Metrics that take the task first match the trace to it by the rule of
 ``validate_trace``, raising ``CoverageError`` for a trace that is not a run
 of the task, and then read handoff and petal times by vertex.
+
+Every metric reads one group-by and one sweep. The events are grouped by
+agent once, and each agent's are sorted once in (start, end, petal,
+action) order, which gives its activity, its petal spans and the readiness
+of each of its actions. Then one sweep over the sorted endpoints of those
+base sets and the window classifies each elementary segment by the base
+sets that cover it; a derived set (idle, waiting, resting, concurrent
+activity and inactivity, sole activity) is the run of segments whose class
+it holds, so each comes out sorted and merged, endpoint for endpoint what
+the ``IntervalSet`` formulas in ``_derived`` give, down to the sign of a
+zero.
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -23,7 +36,7 @@ from .errors import (
     UnknownAgentError,
 )
 from .intervals import IntervalSet
-from .simulate import Trace, realized_times
+from .simulate import Trace, _matched_times, realized_times
 from .stn import TOLERANCE, TimePoint
 
 
@@ -40,7 +53,7 @@ def activity_intervals(trace: Trace, agent_id: str) -> IntervalSet:
     ``UnknownAgentError``.
     """
     _require_on_roster(trace, agent_id)
-    return _TraceIndex(trace).activity(agent_id)
+    return _swept(trace, (agent_id,))[0]
 
 
 @dataclass(frozen=True)
@@ -74,23 +87,18 @@ class IdleBreakdown:
 def agent_idle_time(trace: Trace, agent_id: str) -> IdleBreakdown:
     """Break down when the agent was not acting during the window."""
     _require_on_roster(trace, agent_id)
-    index = _TraceIndex(trace)
-    return index.idle_breakdown(agent_id, window(trace) - index.activity(agent_id))
+    _, idle, waiting, resting = _swept(trace, (agent_id,))
+    return IdleBreakdown(agent_id, idle, waiting, resting)
 
 
 def concurrent_activity(trace: Trace) -> IntervalSet:
     """When both agents of a two-agent trace were acting at once."""
-    first, second = _exactly_two(trace)
-    index = _TraceIndex(trace)
-    return index.activity(first) & index.activity(second)
+    return _swept(trace, _exactly_two(trace))[_CONCURRENT_ACTIVITY]
 
 
 def concurrent_inactivity(trace: Trace) -> IntervalSet:
     """When both agents of a two-agent trace were idle at once."""
-    first, second = _exactly_two(trace)
-    index = _TraceIndex(trace)
-    span = window(trace)
-    return (span - index.activity(first)) & (span - index.activity(second))
+    return _swept(trace, _exactly_two(trace))[_CONCURRENT_INACTIVITY]
 
 
 @dataclass(frozen=True)
@@ -186,11 +194,14 @@ def handoff_delays(daisy: Daisy, trace: Trace) -> tuple[HandoffDelays, ...]:
     A trace that is not a run of the task raises ``CoverageError``.
     """
     times = realized_times(daisy, trace)
-    return _handoff_delays(times, _TraceIndex(trace), handoff_constraints(daisy))
+    ready = _Timeline(trace, trace.end_time).ready
+    return _handoff_delays(times, ready, handoff_constraints(daisy))
 
 
 def _handoff_delays(
-    times: dict[TimePoint, float], index: _TraceIndex, links: tuple[HandoffLink, ...]
+    times: dict[TimePoint, float],
+    ready_at: dict[tuple[str, str], float],
+    links: tuple[HandoffLink, ...],
 ) -> tuple[HandoffDelays, ...]:
     out: list[HandoffDelays] = []
     for link in links:
@@ -202,7 +213,7 @@ def _handoff_delays(
             )
         available = times[link.source_action.end]
         start = times[link.target_action.start]
-        ready = index.ready[(link.target_petal.name, link.target_action.name)]
+        ready = ready_at[link.target_petal.name, link.target_action.name]
         readiness = available - ready
         if readiness > TOLERANCE:
             state = HandoffState.BLOCKED
@@ -267,15 +278,18 @@ class FluencyReport:
 def fluency_report(daisy: Daisy, trace: Trace) -> FluencyReport:
     """Assemble the full fluency picture for a two-agent run of the task.
 
-    The trace is matched to the task and indexed once; one that is not a
-    run of the task raises ``CoverageError``.
+    The trace is matched to the task, grouped by agent and swept once; one
+    that is not a run of the task raises ``CoverageError``.
     """
     first, second = _exactly_two(trace)
-    times = realized_times(daisy, trace)
-    index = _TraceIndex(trace)
-    span = window(trace)
-    active = {a: index.activity(a) for a in (first, second)}
-    idle = {a: span - active[a] for a in (first, second)}
+    end = trace.end_time  # a max over every event, so read once
+    times = _matched_times(daisy, trace, end)
+    timeline = _Timeline(trace, end)
+    (
+        _, idle_first, waiting_first, resting_first,
+        _, idle_second, waiting_second, resting_second,
+        both_active, both_idle, sole_first, sole_second,
+    ) = timeline.sweep((first, second))
     links = handoff_constraints(daisy)
     petal_delays = _petal_delays(times, links)
     delay_by_agent = {first: 0.0, second: 0.0}
@@ -284,18 +298,18 @@ def fluency_report(daisy: Daisy, trace: Trace) -> FluencyReport:
     return FluencyReport(
         agents=(first, second),
         window_start=trace.start_time,
-        window_end=trace.end_time,
-        makespan=trace.makespan,
-        idle=tuple(index.idle_breakdown(a, idle[a]) for a in (first, second)),
-        concurrent_activity=active[first] & active[second],
-        concurrent_inactivity=idle[first] & idle[second],
-        sole_activity={
-            first: active[first] & idle[second],
-            second: active[second] & idle[first],
-        },
+        window_end=end,
+        makespan=end - trace.start_time,
+        idle=(
+            IdleBreakdown(first, idle_first, waiting_first, resting_first),
+            IdleBreakdown(second, idle_second, waiting_second, resting_second),
+        ),
+        concurrent_activity=both_active,
+        concurrent_inactivity=both_idle,
+        sole_activity={first: sole_first, second: sole_second},
         petal_delays=petal_delays,
         delay_by_agent=delay_by_agent,
-        handoffs=_handoff_delays(times, index, links),
+        handoffs=_handoff_delays(times, timeline.ready, links),
     )
 
 
@@ -315,46 +329,227 @@ def _require_on_roster(trace: Trace, agent_id: str) -> None:
         )
 
 
-class _TraceIndex:
-    """One pass over a trace, read by every metric.
+def _swept(trace: Trace, agents: tuple[str, ...]) -> list[IntervalSet]:
+    """The sets ``_derived`` names for ``agents``, from one group-by and one sweep."""
+    return _Timeline(trace, trace.end_time).sweep(agents)
 
-    It raises ``CoverageError`` on a repeated (petal, action); keeps each
-    agent's action intervals and petal spans; and maps each (petal, action)
-    to when its agent finished the action before it in (start, end, petal,
-    action) order, or to the trace start.
+
+def _derived(meet, minus, window, active, within) -> list:
+    """The sets the metrics read, as formulas over the base sets.
+
+    The base sets are the window and each agent's activity and petal spans;
+    ``meet`` and ``minus`` are the ``&`` and ``-`` of the algebra the
+    formulas are evaluated in. Per agent, in order: activity, idle time, and
+    idle time split into waiting and resting; for two agents, then,
+    concurrent activity, concurrent inactivity, and each one's sole activity.
+    """
+    idle = [minus(window, acting) for acting in active]
+    out = []
+    for acting, idling, petals in zip(active, idle, within):
+        out += (acting, idling, meet(idling, petals), minus(idling, petals))
+    if len(active) == 2:
+        out += (
+            meet(active[0], active[1]),
+            meet(idle[0], idle[1]),
+            meet(active[0], idle[1]),
+            meet(active[1], idle[0]),
+        )
+    return out
+
+
+#: Where ``_derived`` puts the two concurrency sets for two agents.
+_CONCURRENT_ACTIVITY, _CONCURRENT_INACTIVITY = 8, 9
+
+
+@functools.cache
+def _memberships(agents: int) -> tuple[int, tuple[int, ...]]:
+    """How many sets ``_derived`` names, and which of them each instant lies in.
+
+    The second item has one entry per set of base sets an instant can lie
+    in, and its bit ``k`` says whether the instant lies in derived set
+    ``k``. Bit 0 of the index is the window; agent ``i`` has bit ``1 + 2i``
+    for its activity and ``2 + 2i`` for its petal spans.
+    """
+    rows = [
+        _derived(
+            lambda left, right: left and right,
+            lambda left, right: left and not right,
+            bool(mask & 1),
+            [bool(mask >> (1 + 2 * i) & 1) for i in range(agents)],
+            [bool(mask >> (2 + 2 * i) & 1) for i in range(agents)],
+        )
+        for mask in range(1 << (1 + 2 * agents))
+    ]
+    return len(rows[0]), tuple(sum(1 << k for k, held in enumerate(row) if held) for row in rows)
+
+
+def _union(intervals) -> list[float]:
+    """The union of intervals sorted by start, as its boundaries: start, end, start, ..."""
+    bounds: list[float] = []
+    for interval in intervals:
+        start, end = interval[0], interval[1]
+        if end > start:
+            if bounds and start <= bounds[-1]:
+                if end > bounds[-1]:
+                    bounds[-1] = end
+            else:
+                bounds += (start, end)
+    return bounds
+
+
+class _Timeline:
+    """A trace grouped by agent once, and swept once per question.
+
+    Each agent's events become ``(start, end, petal, action)`` rows, sorted
+    once in that order. They give the agent's activity (the union of its
+    event intervals), its petal spans (first start to last end of each of
+    its petals), and readiness: for each (petal, action), when its agent
+    finished the action before it in row order, or the trace start. A
+    repeated (petal, action) raises ``CoverageError``.
     """
 
-    def __init__(self, trace: Trace):
-        times: dict[tuple[str, str], tuple[str, float, float]] = {}
-        extra: list[str] = []
+    def __init__(self, trace: Trace, end: float):
+        self.trace = trace
+        self.start = trace.start_time
+        self.end = end
+        rows: dict[str, list[tuple[float, float, str, str]]] = {}
         for event in trace.events:
-            key = (event.petal, event.action)
-            if key in times:
-                extra.append(f"{event.petal}.{event.action}")
-                continue
-            times[key] = (event.agent, event.start, event.end)
-        if extra:
+            row = (event.start, event.end, event.petal, event.action)
+            mine = rows.get(event.agent)
+            if mine is None:
+                rows[event.agent] = [row]
+            else:
+                mine.append(row)
+        self.rows = rows
+        self.ready: dict[tuple[str, str], float] = {}
+        self.bounds = {agent: self._bounds(mine) for agent, mine in rows.items()}
+        if len(self.ready) < len(trace.events):
+            seen: set[tuple[str, str]] = set()
+            extra = []
+            for event in trace.events:
+                key = (event.petal, event.action)
+                if key in seen:
+                    extra.append(f"{event.petal}.{event.action}")
+                seen.add(key)
             raise CoverageError(missing=(), extra=tuple(sorted(extra)))
 
-        self._spans: dict[str, list[tuple[float, float]]] = {}
-        self._petal_spans: dict[str, dict[str, tuple[float, float]]] = {}
-        mine: dict[str, list[tuple[float, float, tuple[str, str]]]] = {}
-        for key, (agent, start, end) in times.items():
-            self._spans.setdefault(agent, []).append((start, end))
-            petals = self._petal_spans.setdefault(agent, {})
-            lo, hi = petals.get(key[0], (start, end))
-            petals[key[0]] = (min(lo, start), max(hi, end))
-            mine.setdefault(agent, []).append((start, end, key))
-        self.ready: dict[tuple[str, str], float] = {}
-        for entries in mine.values():
-            previous_end = trace.start_time
-            for _, end, key in sorted(entries):
-                self.ready[key] = previous_end
-                previous_end = end
+    def _bounds(self, rows: list[tuple[float, float, str, str]]) -> tuple[list, list]:
+        """Sort one agent's rows and note readiness; its activity and petal spans."""
+        rows.sort()
+        ready = self.ready
+        previous_end = self.start
+        spans: dict[str, list[float]] = {}
+        for start, end, petal, action in rows:
+            ready[petal, action] = previous_end
+            previous_end = end
+            span = spans.get(petal)
+            if span is None:
+                spans[petal] = [start, end]
+            elif end > span[1]:
+                span[1] = end
+        return _union(rows), _union(sorted(spans.values()))
 
-    def activity(self, agent_id: str) -> IntervalSet:
-        return IntervalSet.from_pairs(self._spans.get(agent_id, ()))
+    def sweep(self, agents: tuple[str, ...]) -> list[IntervalSet]:
+        """Every set ``_derived`` names for one or two agents, from one sweep.
 
-    def idle_breakdown(self, agent_id: str, idle: IntervalSet) -> IdleBreakdown:
-        within = IntervalSet.from_pairs(self._petal_spans.get(agent_id, {}).values())
-        return IdleBreakdown(agent_id, idle, waiting=idle & within, resting=idle - within)
+        The boundaries of the base sets are sorted once. Each elementary
+        segment between two of them lies in one combination of base sets,
+        which fixes the derived sets it lies in, so a derived set starts or
+        ends wherever that membership changes; abutting segments of one
+        set thereby merge.
+        """
+        bases = [[self.start, self.end] if self.end > self.start else []]
+        for agent in agents:
+            bases += self.bounds.get(agent, ([], []))
+        flips: dict[float, int] = {}  # boundary -> the base sets that start or end there
+        for bit, bounds in enumerate(bases):
+            flag = 1 << bit
+            for time in bounds:
+                flips[time] = flips.get(time, 0) ^ flag
+        count, members = _memberships(len(agents))
+        out: list[list[float]] = [[] for _ in range(count)]  # boundaries per derived set
+        changes: dict[int, list[int]] = {}  # the derived sets whose bits change
+        mask = 0
+        for time, flip in sorted(flips.items()):
+            after = mask ^ flip
+            change = members[mask] ^ members[after]
+            if change:
+                changed = changes.get(change)
+                if changed is None:
+                    changed = changes[change] = [k for k in range(count) if change >> k & 1]
+                time = float(time)
+                for k in changed:
+                    out[k].append(time)
+            mask = after
+        if 0.0 in flips and _both_zeros(self, agents):
+            _sign_zeros(self, agents, flips, out)
+        # tuple() of an iterator grows the tuple by resizing it as it goes; built
+        # that way, resident memory crept up by about 2 MB over 3 000 reports.
+        return [IntervalSet._from_normal(tuple(list(zip(it, it)))) for it in map(iter, out)]
+
+
+def _both_zeros(timeline: _Timeline, agents: tuple[str, ...]) -> bool:
+    """Whether both 0.0 and -0.0 are among the times a sweep reads."""
+    zeros = [timeline.start, timeline.end]
+    for agent in agents:
+        for start, end, _, _ in timeline.rows.get(agent, ()):
+            if start > 0:
+                break
+            zeros += (start, end)
+    return len({math.copysign(1.0, time) for time in zeros if time == 0}) > 1
+
+
+def _sign_zeros(timeline: _Timeline, agents, flips, out) -> None:
+    """Give each derived set's endpoint at zero the zero the algebra gives it.
+
+    Equal times differ only in the sign of zero, so only there does it
+    matter which of several equal endpoints a set keeps. Where a union of
+    intervals starts, ``_normalize`` keeps the start of its first interval in
+    (start, end, input) order, and where it ends, the end of the first
+    interval in that order that reaches the end. ``&`` and ``-`` keep their
+    left operand's endpoint where it has one, else the right operand's, so
+    each derived set's zero follows from its formula in ``_derived``.
+    """
+    before = 0
+    for time, flip in flips.items():
+        if time < 0:
+            before ^= flip
+    after = before ^ flips[0.0]
+    unions: list[list[tuple[float, float]]] = [[(timeline.start, timeline.end)]]
+    for agent in agents:
+        mine, spans = [], {}
+        for event in timeline.trace.events:
+            if event.agent == agent:
+                mine.append((event.start, event.end))
+                lo, hi = spans.get(event.petal, (event.start, event.end))
+                spans[event.petal] = (min(lo, event.start), max(hi, event.end))
+        unions += (mine, list(spans.values()))
+    leaves = []  # (in before zero, in after zero, the endpoint kept at zero)
+    for bit, union in enumerate(unions):
+        was, now = bool(before >> bit & 1), bool(after >> bit & 1)
+        leaves.append((was, now, _kept_zero(union, now) if was != now else None))
+
+    def kept(left, right):
+        return left[2] if left[0] != left[1] else right[2]
+
+    derived = _derived(
+        lambda left, right: (left[0] and right[0], left[1] and right[1], kept(left, right)),
+        lambda left, right: (
+            left[0] and not right[0], left[1] and not right[1], kept(left, right)
+        ),
+        leaves[0],
+        leaves[1::2],
+        leaves[2::2],
+    )
+    for bounds, (was, now, zero) in zip(out, derived):
+        if was != now:
+            bounds[bounds.index(0.0)] = zero
+
+
+def _kept_zero(intervals: list[tuple[float, float]], starting: bool) -> float:
+    """The zero ``_normalize`` keeps where the union of ``intervals`` starts or ends at zero."""
+    if starting:
+        return float(min((end, i, start) for i, (start, end) in enumerate(intervals)
+                         if start == 0 and end > start)[2])
+    return float(min((start, i, end) for i, (start, end) in enumerate(intervals)
+                     if end == 0 and end > start)[2])

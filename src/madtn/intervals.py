@@ -26,6 +26,13 @@ class IntervalSet:
         return cls(tuple(pairs))
 
     @classmethod
+    def _from_normal(cls, intervals: tuple[tuple[float, float], ...]) -> IntervalSet:
+        """A set of float intervals already sorted, non-empty and apart, kept as given."""
+        self = object.__new__(cls)
+        self.__dict__["intervals"] = intervals
+        return self
+
+    @classmethod
     def single(cls, start: float, end: float) -> IntervalSet:
         return cls(((start, end),))
 

@@ -90,7 +90,7 @@ class BehaviorProfile:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ExecutionEvent:
     """One executed action as observed in a run: who did what, and when."""
 
@@ -100,8 +100,9 @@ class ExecutionEvent:
     start: float
     end: float
 
-    def __post_init__(self):
-        start, end = self.start, self.end
+    def __init__(self, agent: str, petal: str, action: str, start: float, end: float):
+        # One dict update instead of a frozen setattr per field.
+        self.__dict__.update(agent=agent, petal=petal, action=action, start=start, end=end)
         # Floats in order pass both checks below; anything else meets them.
         if start.__class__ is float and end.__class__ is float and start <= end:
             return
@@ -423,13 +424,18 @@ def realized_times(daisy: Daisy, trace: Trace) -> dict[TimePoint, float]:
     one event per action, by the owner of the action's petal, this raises
     ``CoverageError`` naming the missing and the unexpected events.
     """
+    return _matched_times(daisy, trace, trace.end_time)
+
+
+def _matched_times(daisy: Daisy, trace: Trace, end_time: float) -> dict[TimePoint, float]:
+    """``realized_times``, for a caller that has read ``trace.end_time``."""
     pending: dict[tuple[str, str], tuple[Petal, Action]] = {
         (petal.name, action.name): (petal, action)
         for petal in daisy.petals
         for action in petal.actions
     }
     times: dict[TimePoint, float] = {
-        daisy.start: trace.start_time, daisy.end: trace.end_time
+        daisy.start: trace.start_time, daisy.end: end_time
     }
     extra: list[str] = []
     for event in trace.events:

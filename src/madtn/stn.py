@@ -95,7 +95,7 @@ class TimePoint:
     """
 
     label: str = ""
-    uid: int = field(init=False, default_factory=lambda: next(_uid_counter))
+    uid: int = field(init=False, default_factory=_uid_counter.__next__)
 
     def __repr__(self) -> str:
         return f"TimePoint({self.label!r}, #{self.uid})"
@@ -578,14 +578,17 @@ def check_schedule(stn: STN, schedule: Mapping[TimePoint, float]) -> list[Tempor
     """Return every constraint the schedule violates (empty means valid).
 
     Satisfaction is checked to within ``TOLERANCE`` seconds plus a few units
-    in the last place of the times compared, boundaries inclusive.
+    in the last place of the times compared, boundaries inclusive. The slack
+    is never negative, so a difference within the bounds themselves passes
+    without it, and ``satisfied_by`` judges only the rest.
     """
-    for point in stn.timepoints:
+    for point in stn._points:
         if point not in schedule:
             raise MissingTimePointError(f"schedule does not assign {point!r}")
     violated = []
-    for c in stn.constraints:
-        if not c.satisfied_by(schedule[c.source], schedule[c.target]):
+    for c in stn._constraints:
+        source, target = schedule[c.source], schedule[c.target]
+        if not c.lower <= target - source <= c.upper and not c.satisfied_by(source, target):
             violated.append(c)
     return violated
 

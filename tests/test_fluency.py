@@ -1,10 +1,15 @@
 """Fluency metrics: idle breakdowns, concurrency, and handoff delays."""
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from madtn import (
     INF,
+    Action,
     Agent,
     AgentCountError,
     BehaviorProfile,
@@ -15,7 +20,9 @@ from madtn import (
     ExecutionEvent,
     ExternalConstraint,
     HandoffState,
+    IntervalSet,
     NonHandoffKindError,
+    Petal,
     Trace,
     UnknownAgentError,
     activity_intervals,
@@ -587,3 +594,155 @@ def test_repeated_action_records_are_a_coverage_error():
     with pytest.raises(CoverageError) as excinfo:
         activity_intervals(trace, "a")
     assert "p1.x" in excinfo.value.extra
+
+
+def test_every_trace_only_metric_refuses_a_repeated_action():
+    trace = Trace(
+        events=(
+            ExecutionEvent("a", "p1", "x", 0.0, 1.0),
+            ExecutionEvent("b", "p2", "y", 0.5, 1.0),
+            ExecutionEvent("a", "p1", "x", 2.0, 3.0),
+            ExecutionEvent("b", "p2", "y", 2.0, 3.0),
+            ExecutionEvent("b", "p1", "x", 4.0, 5.0),
+        ),
+        agents=("a", "b"),
+        seed=0,
+        feasible=True,
+    )
+    for metric in (
+        lambda: activity_intervals(trace, "a"),
+        lambda: agent_idle_time(trace, "b"),
+        lambda: concurrent_activity(trace),
+        lambda: concurrent_inactivity(trace),
+    ):
+        with pytest.raises(CoverageError) as excinfo:
+            metric()
+        assert list(excinfo.value.missing) == []
+        assert list(excinfo.value.extra) == ["p1.x", "p1.x", "p2.y"]
+
+
+# The interval-set algebra is the reference for every set the sweep builds.
+# Times come from a small pool, so events of one agent overlap, abut, have
+# zero length and share endpoints of both zeros; ints stand in for floats;
+# the trace start may fall after some events, as a trace built through the
+# API allows; and some traces move by 1.7e9 s, as epoch timestamps do.
+POOL = [-1.0, -0.5, -0.0, 0.0, 0, 0.5, 1.0, 1, 1.5, 2.0, 3.0]
+
+
+@st.composite
+def sweep_traces(draw):
+    origin = draw(st.sampled_from([0.0, 1.7e9]))
+
+    def at(time):
+        return origin + time if origin else time
+
+    rows = draw(st.lists(
+        st.tuples(st.sampled_from("ab"), st.integers(0, 2),
+                  st.sampled_from(POOL), st.sampled_from(POOL)),
+        max_size=10,
+    ))
+    events = []
+    for i, (agent, petal, one, other) in enumerate(rows):
+        start, end = (one, other) if one <= other else (other, one)
+        events.append(ExecutionEvent(agent, f"{agent}{petal}", f"x{i}", at(start), at(end)))
+    start_time = at(draw(st.sampled_from(POOL)))
+    return Trace(events=tuple(events), agents=("a", "b"), seed=0, feasible=True,
+                 start_time=start_time)
+
+
+def algebra_sets(trace, agent):
+    """Activity, idle, waiting and resting by the interval-set algebra."""
+    span = IntervalSet.single(trace.start_time, trace.end_time)
+    mine = [e for e in trace.events if e.agent == agent]
+    spans = {}
+    for e in mine:
+        lo, hi = spans.get(e.petal, (e.start, e.end))
+        spans[e.petal] = (min(lo, e.start), max(hi, e.end))
+    activity = IntervalSet.from_pairs((e.start, e.end) for e in mine)
+    idle = span - activity
+    within = IntervalSet.from_pairs(spans.values())
+    return activity, idle, idle & within, idle - within
+
+
+def exactly(spans):
+    """Every endpoint with its type and sign, so 0.0 and -0.0 differ."""
+    return [(type(t), t, math.copysign(1.0, t)) for pair in spans for t in pair]
+
+
+def daisy_of(trace):
+    """A task the trace is a run of: one petal per petal it names."""
+    actions = {}
+    for e in trace.events:
+        actions.setdefault((e.petal, e.agent), []).append(Action(e.action, 0.0))
+    return Daisy(
+        agents=(Agent("a"), Agent("b")),
+        petals=tuple(Petal(name, tuple(acts), owner=owner)
+                     for (name, owner), acts in actions.items()),
+    )
+
+
+def api_trace(rows, start_time=0.0):
+    """A trace of agents a and b with events in the order given."""
+    return Trace(events=tuple(ExecutionEvent(*row) for row in rows), agents=("a", "b"),
+                 seed=0, feasible=True, start_time=start_time)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(sweep_traces())
+@example(api_trace([  # the CLI smoke trace: concurrent activity starts at -0.0
+    ("b", "R0", "a", 0.0, 1.0), ("a", "H1", "a", -0.0, 1.5),
+    ("a", "H0", "a", 1.0, 2.0), ("b", "R1", "a", 1.5, 2.5),
+]))
+@example(api_trace([  # a petal span starts at the first of two zero-length events at zero
+    ("a", "a0", "x0", -0.0, -0.0), ("a", "a0", "x1", 0.0, 0.0), ("a", "a0", "x2", 1.0, 2.0),
+], start_time=-1.0))
+@example(api_trace([  # and one ends at the first of two
+    ("a", "a0", "x0", -1.0, -0.5), ("a", "a0", "x1", -0.0, -0.0),
+    ("a", "a0", "x2", 0.0, 0.0), ("b", "b0", "x3", 1.0, 2.0),
+], start_time=-1.0))
+def test_the_sweep_equals_the_interval_set_algebra(trace):
+    a_sets, b_sets = algebra_sets(trace, "a"), algebra_sets(trace, "b")
+    expected = {
+        "concurrent activity": a_sets[0] & b_sets[0],
+        "concurrent inactivity": a_sets[1] & b_sets[1],
+        "sole a": a_sets[0] & b_sets[1],
+        "sole b": b_sets[0] & a_sets[1],
+    }
+    report = fluency_report(daisy_of(trace), trace)
+    got = {
+        "concurrent activity": report.concurrent_activity,
+        "concurrent inactivity": report.concurrent_inactivity,
+        "sole a": report.sole_activity["a"],
+        "sole b": report.sole_activity["b"],
+    }
+    for agent, sets in (("a", a_sets), ("b", b_sets)):
+        breakdown = report.idle_of(agent)
+        for name, spans, reference in zip(
+            ("idle", "waiting", "resting"),
+            (breakdown.idle, breakdown.waiting, breakdown.resting),
+            sets[1:],
+        ):
+            got[f"{name} {agent}"], expected[f"{name} {agent}"] = spans, reference
+    assert concurrent_activity(trace) == expected["concurrent activity"]
+    assert concurrent_inactivity(trace) == expected["concurrent inactivity"]
+    got["view concurrent activity"] = concurrent_activity(trace)
+    got["view concurrent inactivity"] = concurrent_inactivity(trace)
+    expected["view concurrent activity"] = expected["concurrent activity"]
+    expected["view concurrent inactivity"] = expected["concurrent inactivity"]
+    crowded = dataclasses.replace(trace, agents=("a", "b", "c"))
+    for agent in ("a", "b", "c"):
+        sets = algebra_sets(crowded, agent)
+        breakdown = agent_idle_time(crowded, agent)
+        got[f"view activity {agent}"] = activity_intervals(crowded, agent)
+        expected[f"view activity {agent}"] = sets[0]
+        for name, spans, reference in zip(
+            ("idle", "waiting", "resting"),
+            (breakdown.idle, breakdown.waiting, breakdown.resting),
+            sets[1:],
+        ):
+            got[f"view {name} {agent}"], expected[f"view {name} {agent}"] = spans, reference
+    for name in expected:
+        assert exactly(got[name]) == exactly(expected[name]), name
+    assert exactly([(report.window_end, report.makespan)]) == exactly(
+        [(trace.end_time, trace.makespan)]
+    )

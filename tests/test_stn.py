@@ -11,6 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import madtn
 
@@ -526,6 +527,50 @@ def test_check_schedule_tolerates_boundary_noise():
     assert check_schedule(stn, {a: 0.0, b: 2.0 + 5e-10}) == []
     assert check_schedule(stn, {a: 0.0, b: 1.0 - 5e-10}) == []
     assert check_schedule(stn, {a: 0.0, b: 2.0 + 5e-9}) != []
+
+
+bounds_strategy = st.one_of(
+    st.sampled_from([-INF, INF, 0.0, -0.0, 1.0, -1.0, 2.5]),
+    st.floats(min_value=-5.0, max_value=5.0),
+)
+
+
+@st.composite
+def checked_schedules(draw):
+    """A network of up to 5 points with up to 8 constraints, and a schedule for it.
+
+    Times sit on, just inside or just outside the bounds (within and beyond
+    the slack), or are NaN or infinite, all from an origin of 0 or 1.7e9 s.
+    """
+    count = draw(st.integers(1, 5))
+    pairs = []
+    for _ in range(draw(st.integers(0, 8))):
+        lower, upper = sorted((draw(bounds_strategy), draw(bounds_strategy)))
+        if lower == INF or upper == -INF:
+            continue
+        pairs.append((draw(st.integers(0, count - 1)), draw(st.integers(0, count - 1)),
+                      lower, upper))
+    stn = stn_from_tuples(count, pairs)
+    origin = draw(st.sampled_from([0.0, 1.7e9]))
+    offsets = [draw(st.one_of(
+        st.floats(min_value=-5.0, max_value=5.0),
+        st.sampled_from([math.nan, INF, -INF, 0.0, -0.0]),
+        st.sampled_from([0.0, 1.0, 2.5]).flatmap(lambda edge: st.sampled_from(
+            [edge + d for d in (-1e-8, -2e-9, -5e-10, -1e-12, 1e-12, 5e-10, 2e-9, 1e-8)]
+        )),
+    )) for _ in range(count)]
+    return stn, {point: origin + offset for point, offset in zip(stn.timepoints, offsets)}
+
+
+@settings(max_examples=500, deadline=None)
+@given(checked_schedules())
+def test_check_schedule_finds_what_satisfied_by_finds(case):
+    stn, schedule = case
+    expected = [
+        c for c in stn.constraints
+        if not c.satisfied_by(schedule[c.source], schedule[c.target])
+    ]
+    assert check_schedule(stn, schedule) == expected
 
 
 def test_constraint_slack_grows_with_the_times_compared():
