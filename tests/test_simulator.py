@@ -1,8 +1,10 @@
 """Execution semantics: punctual runs, sampling, anticipation, validation.
 
 The packaged task's trace documents for three profile sets and seeds 0-4
-are recorded in ``tests/golden/`` and must come out byte for byte. After an
-intended change to simulation output, regenerate them with
+are recorded in ``tests/golden/``, as is ``lanes/runs.json``: runs of a two-lane
+task under every duration mode, an explicit ordering and both kinds of
+transition. All must come out byte for byte. After an intended change to
+simulation output, regenerate them with
 ``PYTHONPATH=src python tests/test_simulator.py``.
 """
 from __future__ import annotations
@@ -121,6 +123,93 @@ def golden_text(daisy, profile: str, seed: int) -> str:
 def test_simulate_reproduces_its_recorded_traces(packaging, profile, seed):
     expected = (GOLDEN / f"packaging-{profile}-{seed}.json").read_bytes()
     assert golden_text(packaging.daisy, profile, seed).encode() == expected
+
+
+def _lane_actions(*bounds):
+    return [
+        {"name": name, "lower": lower, "upper": upper}
+        for name, (lower, upper) in zip("abc", bounds)
+    ]
+
+
+#: Two lanes with handoffs both ways (two of them into ``R2.a``), a release
+#: from ``Vs`` and a wait after an action end, both with positive lower
+#: bounds, a deadline and a negative lower bound that hold nothing back,
+#: and bounded, degenerate and unbounded actions.
+LANES = {
+    "agents": [{"id": "human"}, {"id": "robot"}],
+    "petals": [
+        {"name": "H0", "owner": "human", "actions": _lane_actions((1.0, 2.0), (0.5, 1.5))},
+        {"name": "R0", "owner": "robot", "actions": _lane_actions((1.0, 3.0), (0.25, None))},
+        {"name": "H1", "owner": "human", "actions": _lane_actions((0.75, 1.25), (1.0, 1.0))},
+        {"name": "R1", "owner": "robot", "actions": _lane_actions((0.5, 2.5), (1.0, 2.0))},
+        {"name": "H2", "owner": "human", "actions": _lane_actions((1.0, 2.0))},
+        {"name": "R2", "owner": "robot", "actions": _lane_actions((1.0, 2.0))},
+    ],
+    "constraints": [
+        {"kind": "handoff", "source": "R0.b.end", "target": "H1.a.start"},
+        {"kind": "handoff", "source": "H0.b.end", "target": "R1.a.start"},
+        {"kind": "handoff", "source": "R1.b.end", "target": "H2.a.start"},
+        {"kind": "handoff", "source": "H1.b.end", "target": "R2.a.start"},
+        {"kind": "handoff", "source": "H0.b.end", "target": "R2.a.start"},
+        {"kind": "other", "source": "Vs", "target": "R0.a.start", "lower": 0.8},
+        {"kind": "other", "source": "H0.a.end", "target": "R1.b.start", "lower": 1.5},
+        {"kind": "other", "source": "Vs", "target": "H2.a.end", "lower": None, "upper": 40.0},
+        {"kind": "other", "source": "R0.a.start", "target": "H0.b.start", "lower": -1.0},
+    ],
+}
+
+#: (ordering, transition) per configuration of the lanes runs.
+LANES_CONFIGS = {
+    "ordered": (("R0", "H1", "H0", "R1", "H2", "R2"), 0.5),
+    "mapped": (None, {"human": 0.25, "robot": 0.75}),
+}
+
+
+def lanes_profiles() -> dict[str, dict[str, BehaviorProfile]]:
+    return {
+        "lower": {
+            "human": BehaviorProfile(
+                reaction_delay=0.4, anticipation_probability=1.0, anticipation_offset=0.75
+            ),
+            "robot": BehaviorProfile(anticipation_probability=0.5),
+        },
+        "mixed": {
+            "human": BehaviorProfile(
+                duration_mode=DurationMode.UNIFORM, reaction_delay=0.3,
+                anticipation_probability=0.5, anticipation_offset=1.0,
+            ),
+            "robot": BehaviorProfile(
+                duration_mode=DurationMode.TRUNCATED_NORMAL, reaction_delay=0.2,
+                anticipation_probability=0.7, anticipation_offset=0.5,
+                mean_fraction=0.4, stddev_fraction=0.3,
+            ),
+        },
+        "swapped": {
+            "human": BehaviorProfile(
+                duration_mode=DurationMode.TRUNCATED_NORMAL, mean_fraction=0.7,
+                stddev_fraction=0.25, anticipation_probability=0.3,
+                anticipation_offset=2.0,
+            ),
+            "robot": BehaviorProfile(duration_mode=DurationMode.UNIFORM, reaction_delay=0.5),
+        },
+    }
+
+
+def lanes_text() -> str:
+    daisy = parse_daisy(LANES).daisy
+    runs = {}
+    for profile, profiles in lanes_profiles().items():
+        for config, (ordering, transition) in LANES_CONFIGS.items():
+            for seed in range(3):
+                trace = simulate(daisy, profiles=profiles, seed=seed,
+                                 ordering=ordering, transition_lower=transition)
+                runs[f"{profile}/{config}/{seed}"] = trace_document(TraceDocument(trace=trace))
+    return dump_document(runs)
+
+
+def test_simulate_reproduces_its_recorded_lanes_runs():
+    assert lanes_text().encode() == (GOLDEN / "lanes" / "runs.json").read_bytes()
 
 
 def test_release_times_hold_actions_back():
@@ -285,6 +374,36 @@ def test_mutual_handoffs_deadlock_with_a_named_cycle():
     assert "p.a1" in message and "q.b1" in message
 
 
+def test_a_wait_cycle_through_a_petal_is_named_in_full():
+    # x1 waits 0.5 s after y1 ends, y1 waits for x2's product, and x2 comes
+    # after x1 in its petal; z1 is free and runs.
+    x1, x2 = build_action("x1", 1.0), build_action("x2", 1.0)
+    y1, z1 = build_action("y1", 1.0), build_action("z1", 1.0)
+    base = Daisy(
+        agents=(Agent("x"), Agent("y"), Agent("z")),
+        petals=(
+            build_petal("p", [x1, x2], owner="x"),
+            build_petal("q", [y1], owner="y"),
+            build_petal("r", [z1], owner="z"),
+        ),
+    )
+    daisy = Daisy(
+        agents=base.agents,
+        petals=base.petals,
+        constraints=(
+            ExternalConstraint(ConstraintKind.OTHER, y1.end, x1.start, 0.5, INF),
+            ExternalConstraint(ConstraintKind.HANDOFF, x2.end, y1.start, 0.0, INF),
+            ExternalConstraint(ConstraintKind.OTHER, z1.end, y1.start, 0.0, INF),
+        ),
+        start=base.start,
+        end=base.end,
+    )
+    with pytest.raises(DeadlockError) as excinfo:
+        simulate(daisy)
+    assert str(excinfo.value) == "deadlocked waiting cycle: p.x1 -> q.y1 -> p.x2 -> p.x1"
+    assert excinfo.value.cycle == ["p.x1", "q.y1", "p.x2", "p.x1"]
+
+
 def doctored(trace, events):
     return Trace(
         events=tuple(events),
@@ -421,8 +540,9 @@ def test_events_must_run_forward():
 
 
 if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
+    (GOLDEN / "lanes").mkdir(parents=True, exist_ok=True)
     task = load_packaged_example().daisy
     for name in golden_profiles():
         for run in range(5):
             (GOLDEN / f"packaging-{name}-{run}.json").write_text(golden_text(task, name, run))
+    (GOLDEN / "lanes" / "runs.json").write_text(lanes_text())
