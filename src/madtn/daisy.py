@@ -152,7 +152,8 @@ class ExternalConstraint:
     upper: float = INF
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", ConstraintKind(self.kind))
+        if self.kind.__class__ is not ConstraintKind:
+            object.__setattr__(self, "kind", ConstraintKind(self.kind))
 
 
 #: Where an action vertex sits: its petal, its action, and "start" or "end".
@@ -206,6 +207,12 @@ class Daisy:
         """Networks compiled for ``simulate`` and ``validate_trace``, keyed
         by ordering and transition; they only read them, and they go with
         the task."""
+        return {}
+
+    @functools.cached_property
+    def _plans(self) -> dict[Hashable, dict]:
+        """Each agent's run for ``simulate``, keyed by ordering; kept like
+        ``_networks``."""
         return {}
 
     def petal(self, name: str) -> Petal:

@@ -29,6 +29,7 @@ import tempfile
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, replace
 from importlib import resources
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
@@ -225,6 +226,22 @@ def parse_trace(source: str | Mapping[str, Any]) -> TraceDocument:
     else:
         previous = -math.inf
         for i, item in enumerate(raw_events):
+            # A plain object of exactly the five fields, with names, finite
+            # float times in order, an agent on the roster and a start in
+            # order, passes every check below; its path is never spelled.
+            if item.__class__ is dict and len(item) == 5:
+                agent, petal, action = item.get("agent"), item.get("petal"), item.get("action")
+                start, end = item.get("start"), item.get("end")
+                if (
+                    agent.__class__ is str and agent in agents
+                    and petal.__class__ is str and petal
+                    and action.__class__ is str and action
+                    and start.__class__ is float and end.__class__ is float
+                    and previous <= start <= end < INF and start_time <= start
+                ):
+                    previous = start
+                    events.append(ExecutionEvent(agent, petal, action, start, end))
+                    continue
             event = _parse_event(item, i, errors)
             if event is None:
                 continue
@@ -337,9 +354,10 @@ def report_document(report: FluencyReport) -> dict[str, Any]:
 
 
 def _interval_entry(report: FluencyReport, spans: IntervalSet) -> dict[str, Any]:
+    seconds = spans.measure
     return {
-        "seconds": spans.measure,
-        "fraction": report.fraction_of_makespan(spans.measure),
+        "seconds": seconds,
+        "fraction": report.fraction_of_makespan(seconds),
         "intervals": [[s, e] for s, e in spans],
     }
 
@@ -497,10 +515,13 @@ def _dump(value: Any, depth: int) -> str:
         lines = [f"{inner}{_key(k)}: {_dump(v, depth + 1)}" for k, v in value.items()]
         return "{\n" + ",\n".join(lines) + f"\n{outer}}}"
     kind = value[0].__class__
-    if (kind is dict or kind is list) and all(
-        item.__class__ is kind and item
-        and _SCALARS.issuperset(map(type, item.values() if kind is dict else item))
-        for item in value
+    if (
+        (kind is dict or kind is list)
+        and {kind}.issuperset(map(type, value))
+        and all(value)
+        and _SCALARS.issuperset(
+            map(type, chain.from_iterable(map(dict.values, value) if kind is dict else value))
+        )
     ):
         opening, closing = "{}" if kind is dict else "[]"
         deeper = "  " * (depth + 2)
@@ -737,7 +758,7 @@ def _parse_actions(raw: Any, path: str, errors: list[str]) -> list[Action] | Non
                 and lower.__class__ is float and upper.__class__ is float
                 and 0.0 <= lower <= upper < INF
             ):
-                actions.append(Action(name=name, lower=lower, upper=upper))
+                actions.append(Action(name, lower, upper))
                 continue
         where = f"{path}.actions[{j}]"
         if not _is_object(item):
@@ -759,6 +780,10 @@ def _parse_actions(raw: Any, path: str, errors: list[str]) -> list[Action] | Non
     return actions
 
 
+#: Constraint kinds by the value a document spells.
+_KINDS = {kind.value: kind for kind in ConstraintKind}
+
+
 def _parse_constraints(
     raw: Any, names: Daisy, errors: list[str]
 ) -> list[ExternalConstraint]:
@@ -767,18 +792,41 @@ def _parse_constraints(
     if not isinstance(raw, list):
         errors.append("constraints: expected a list of constraint objects")
         return []
-    kinds = {k.value for k in ConstraintKind}
     out: list[ExternalConstraint] = []
     for i, item in enumerate(raw):
+        # A plain object of exactly the five fields, with a known kind,
+        # endpoints that resolve, a finite float lower bound and a finite
+        # float or null upper one, passes every check below.
+        if item.__class__ is dict and len(item) == 5:
+            kind, source, target = item.get("kind"), item.get("source"), item.get("target")
+            lower, upper = item.get("lower"), item.get("upper")
+            if (
+                kind.__class__ is str and kind in _KINDS
+                and source.__class__ is str and target.__class__ is str
+                and lower.__class__ is float and -INF < lower < INF
+                and (
+                    upper.__class__ is float and -INF < upper < INF
+                    or upper is None and "upper" in item
+                )
+            ):
+                try:
+                    source, target = names.vertex(source), names.vertex(target)
+                except UnknownTimePointError:
+                    pass
+                else:
+                    out.append(ExternalConstraint(
+                        _KINDS[kind], source, target, lower, INF if upper is None else upper
+                    ))
+                    continue
         path = f"constraints[{i}]"
         if not _is_object(item):
             errors.append(f"{path}: expected an object")
             continue
         _reject_unknown(item, {"kind", "source", "target", "lower", "upper"}, path, errors)
         kind = item.get("kind")
-        if not isinstance(kind, str) or kind not in kinds:
+        if not isinstance(kind, str) or kind not in _KINDS:
             errors.append(
-                f"{path}.kind: expected one of {sorted(kinds)}, got {kind!r}"
+                f"{path}.kind: expected one of {sorted(_KINDS)}, got {kind!r}"
             )
             continue
         source = _resolve_vertex(item.get("source"), names, path, ".source", errors)
@@ -789,7 +837,7 @@ def _parse_constraints(
             continue
         out.append(
             ExternalConstraint(
-                kind=ConstraintKind(kind), source=source, target=target,
+                kind=_KINDS[kind], source=source, target=target,
                 lower=lower, upper=upper,
             )
         )
@@ -810,19 +858,6 @@ def _resolve_vertex(
 
 
 def _parse_event(item: Any, index: int, errors: list[str]) -> ExecutionEvent | None:
-    # A plain object of exactly the five fields, with names and finite float
-    # times in order, passes every check below, and its path is never spelled.
-    if item.__class__ is dict and len(item) == 5:
-        agent, petal, action = item.get("agent"), item.get("petal"), item.get("action")
-        start, end = item.get("start"), item.get("end")
-        if (
-            agent.__class__ is str and agent
-            and petal.__class__ is str and petal
-            and action.__class__ is str and action
-            and start.__class__ is float and end.__class__ is float
-            and -INF < start <= end < INF
-        ):
-            return ExecutionEvent(agent, petal, action, start, end)
     path = f"events[{index}]"
     if not _is_object(item):
         errors.append(f"{path}: expected an event object")

@@ -177,6 +177,9 @@ def simulate(
     frozen: repeated runs and ``validate_trace`` share it and only read it.
     That is a memo, not an option; there is no parameter to pass a network,
     and ``compile_to_stn`` still returns a fresh network to each caller.
+    Each agent's run is planned the same way, once per task and ordering:
+    its actions in order, each with the sources that gate its start. A run
+    then only draws times along the plan.
 
     An action waits for its agent's previous action (plus the transition gap
     when the agent switches petals) and for every constraint that can hold
@@ -197,50 +200,69 @@ def simulate(
             f"profiles name agents the task does not declare: "
             f"{', '.join(map(repr, unknown))}"
         )
-    order = daisy.petals if ordering is None else [daisy.petal(name) for name in ordering]
-
-    queues: dict[str, list[tuple[Petal, Action]]] = {a.id: [] for a in daisy.agents}
-    for petal in order:
-        for action in petal.actions:
-            queues[petal.owner].append((petal, action))
-
-    gates = _start_gates(daisy)
-    rngs = {a.id: random.Random(f"{seed}/{a.id}") for a in daisy.agents}
-    next_index = {a.id: 0 for a in daisy.agents}
+    plan = _plan(daisy, ordering)
     times: dict[TimePoint, float] = {daisy.start: 0.0}
     events: list[ExecutionEvent] = []
-    agent_ids = sorted(queues)
+    agent_ids = sorted(plan)
+    # Per agent: how many of its steps have run, and when it is next free.
+    done = dict.fromkeys(agent_ids, 0)
+    free_at = dict.fromkeys(agent_ids, 0.0)
+    lanes = [
+        (agent_id, plan[agent_id], _transition(transition_lower, agent_id),
+         profile_of[agent_id], random.Random(f"{seed}/{agent_id}"))
+        for agent_id in agent_ids
+    ]
 
     progressed = True
     while progressed:
         progressed = False
-        for agent_id in agent_ids:
-            queue = queues[agent_id]
-            profile, rng = profile_of[agent_id], rngs[agent_id]
-            i = next_index[agent_id]
-            while i < len(queue) and all(
-                c.source in times for c in gates.get(queue[i][1], ())
-            ):
-                petal, action = queue[i]
-                free = times[daisy.start]
-                if i > 0:
-                    previous_petal, previous = queue[i - 1]
-                    free = times[previous.end]
-                    # Repositioning costs apply between petals, never
-                    # between back-to-back actions of one petal.
-                    if previous_petal is not petal:
-                        free += _transition(transition_lower, agent_id)
-                _run_action(action, free, gates.get(action, ()), times, profile, rng)
-                events.append(
-                    ExecutionEvent(agent=agent_id, petal=petal.name, action=action.name,
-                                   start=times[action.start], end=times[action.end])
+        for agent_id, steps, gap, profile, rng in lanes:
+            probability = profile.anticipation_probability
+            offset, delay = profile.anticipation_offset, profile.reaction_delay
+            punctual = profile.duration_mode is DurationMode.LOWER_BOUND
+            first = i = done[agent_id]
+            free = free_at[agent_id]
+            while i < len(steps):
+                petal, action, gates, handoffs, waits, switches = steps[i]
+                if gates and not times.keys() >= gates:
+                    break
+                # Repositioning costs apply between petals, never between
+                # back-to-back actions of one petal.
+                enabled = free + gap if switches else free
+                for source, lower in waits:
+                    ready = times[source] + lower
+                    if ready > enabled:
+                        enabled = ready
+                # Fixed per-action draw order keeps substreams aligned:
+                # anticipation trigger, head start, reaction, duration. Draws
+                # that cannot matter are skipped rather than consumed.
+                if handoffs:
+                    # The product exists at the last source end time;
+                    # anticipation acts on that one.
+                    ready = max([times[source] for source in handoffs])
+                    if probability > 0 and rng.random() < probability and offset > 0:
+                        ready -= rng.uniform(0.0, offset)
+                    if ready > enabled:
+                        enabled = ready
+                start = enabled + (rng.uniform(0.0, delay) if delay > 0 else 0.0)
+                times[action.start] = start
+                free = times[action.end] = start + (
+                    action.lower if punctual else _draw_duration(action, profile, rng)
                 )
+                events.append(ExecutionEvent(agent_id, petal.name, action.name, start, free))
                 i += 1
+            if i != first:
+                done[agent_id], free_at[agent_id] = i, free
                 progressed = True
-            next_index[agent_id] = i
 
-    if any(next_index[a] < len(queues[a]) for a in agent_ids):
-        raise DeadlockError(_waiting_cycle(daisy, queues, next_index, gates, times))
+    if any(done[agent_id] < len(plan[agent_id]) for agent_id in agent_ids):
+        queues = {
+            agent_id: [(petal, action) for petal, action, *_ in steps]
+            for agent_id, steps in plan.items()
+        }
+        raise DeadlockError(
+            _waiting_cycle(daisy, queues, done, _start_gates(daisy), times)
+        )
 
     events.sort(key=lambda e: (e.start, e.end))  # stable: ties keep causal order
     times[daisy.end] = max((e.end for e in events), default=times[daisy.start])
@@ -250,6 +272,15 @@ def simulate(
         seed=seed,
         feasible=not check_schedule(stn, times),
     )
+
+
+#: One action of an agent's run: its petal, the action, the sources that
+#: gate its start (all of them, the handoff ones, and the others with their
+#: lower bounds), and whether it opens a petal after another of the agent's.
+_Step = tuple[
+    Petal, Action, frozenset[TimePoint], tuple[TimePoint, ...],
+    tuple[tuple[TimePoint, float], ...], bool,
+]
 
 
 def _network(
@@ -279,6 +310,44 @@ def _network(
     return stn
 
 
+def _plan(daisy: Daisy, ordering: Sequence[str] | None) -> dict[str, tuple[_Step, ...]]:
+    """Each agent's steps under ``ordering``, built on first use and kept
+    with ``daisy`` beside its networks.
+
+    Called once ``_network`` has accepted ``ordering``, so it names every
+    petal once and keys the memo.
+    """
+    key = None if ordering is None else tuple(ordering)
+    plan = daisy._plans.get(key)
+    if plan is None:
+        plan = daisy._plans[key] = _build_plan(daisy, key)
+    return plan
+
+
+def _build_plan(
+    daisy: Daisy, ordering: Sequence[str] | None
+) -> dict[str, tuple[_Step, ...]]:
+    order = daisy.petals if ordering is None else [daisy.petal(name) for name in ordering]
+    gates = _start_gates(daisy)
+    plan: dict[str, list[_Step]] = {a.id: [] for a in daisy.agents}
+    for petal in order:
+        steps = plan[petal.owner]
+        switches = bool(steps)
+        for action in petal.actions:
+            mine = gates.get(action, ())
+            steps.append((
+                petal, action, frozenset(c.source for c in mine),
+                tuple(c.source for c in mine if c.kind is ConstraintKind.HANDOFF),
+                tuple(
+                    (c.source, c.lower) for c in mine
+                    if c.kind is not ConstraintKind.HANDOFF
+                ),
+                switches,
+            ))
+            switches = False
+    return {agent_id: tuple(steps) for agent_id, steps in plan.items()}
+
+
 def _start_gates(daisy: Daisy) -> dict[Action, list[ExternalConstraint]]:
     """Map each action to the constraints that hold back its start.
 
@@ -297,45 +366,6 @@ def _start_gates(daisy: Daisy) -> dict[Action, list[ExternalConstraint]]:
         if c.source is daisy.start or daisy.locate(c.source) is not None:
             out.setdefault(target_at[1], []).append(c)
     return out
-
-
-def _run_action(
-    action: Action,
-    free: float,
-    gates: Sequence[ExternalConstraint],
-    times: dict[TimePoint, float],
-    profile: BehaviorProfile,
-    rng: random.Random,
-) -> None:
-    """Start ``action`` once its agent is ``free`` and its gates allow it."""
-    enabled = free
-    handoff_ready = None
-    for c in gates:
-        if c.kind is ConstraintKind.HANDOFF:
-            # Handoff lowers are zero by validation; the product exists at
-            # the source end time. Anticipation acts on the last of these.
-            if handoff_ready is None or times[c.source] > handoff_ready:
-                handoff_ready = times[c.source]
-        else:
-            enabled = max(enabled, times[c.source] + c.lower)
-
-    # Fixed per-action draw order keeps substreams aligned: anticipation
-    # trigger, head start, reaction, duration. Draws that cannot matter are
-    # skipped entirely rather than consumed.
-    if handoff_ready is not None:
-        triggered = profile.anticipation_probability > 0 and (
-            rng.random() < profile.anticipation_probability
-        )
-        if triggered and profile.anticipation_offset > 0:
-            handoff_ready -= rng.uniform(0.0, profile.anticipation_offset)
-        enabled = max(enabled, handoff_ready)
-
-    reaction = (
-        rng.uniform(0.0, profile.reaction_delay) if profile.reaction_delay > 0 else 0.0
-    )
-    start = enabled + reaction
-    times[action.start] = start
-    times[action.end] = start + _draw_duration(action, profile, rng)
 
 
 def _draw_duration(

@@ -13,12 +13,29 @@ freely) but makes cross-component difference queries meaningless, so bound
 sweeps are only valid on connected constraint graphs. All generators here
 keep magnitudes small enough that every schedule of a consistent network
 fits inside the default domain.
+
+``reference_simulate`` is the simulation loop as it stood before runs were
+planned per task: every run rebuilds each agent's queue and start gates
+and walks them one constraint at a time.
 """
 from __future__ import annotations
 
 import math
 import random
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
+
+from madtn import ConstraintKind, Daisy, DeadlockError, UnknownAgentError
+from madtn.daisy import _transition
+from madtn.simulate import (
+    BehaviorProfile,
+    ExecutionEvent,
+    Trace,
+    _draw_duration,
+    _network,
+    _start_gates,
+    _waiting_cycle,
+)
+from madtn.stn import check_schedule
 
 # A constraint is (i, j, lower, upper): lower <= t[j] - t[i] <= upper.
 Constraint = tuple[int, int, float, float]
@@ -272,3 +289,100 @@ def random_dyadic_case(
         elif lower != -math.inf:
             constraints[k] = (i, j, lower - 2 * shift, lower - shift)
     return n, constraints
+
+
+# -- simulation reference -------------------------------------------------------
+
+
+def reference_simulate(
+    daisy: Daisy,
+    profiles: Mapping[str, BehaviorProfile] | None = None,
+    seed: int = 0,
+    ordering: Sequence[str] | None = None,
+    transition_lower: float | Mapping[str, float] = 0.0,
+) -> Trace:
+    """``simulate`` as a per-run walk of queues and gates, with no plan."""
+    stn = _network(daisy, ordering, transition_lower)
+    profiles = profiles or {}
+    profile_of = {a.id: profiles.get(a.id) or BehaviorProfile() for a in daisy.agents}
+    unknown = [agent_id for agent_id in profiles if agent_id not in profile_of]
+    if unknown:
+        raise UnknownAgentError(
+            f"profiles name agents the task does not declare: "
+            f"{', '.join(map(repr, unknown))}"
+        )
+    order = daisy.petals if ordering is None else [daisy.petal(name) for name in ordering]
+
+    queues = {a.id: [] for a in daisy.agents}
+    for petal in order:
+        for action in petal.actions:
+            queues[petal.owner].append((petal, action))
+
+    gates = _start_gates(daisy)
+    rngs = {a.id: random.Random(f"{seed}/{a.id}") for a in daisy.agents}
+    next_index = {a.id: 0 for a in daisy.agents}
+    times = {daisy.start: 0.0}
+    events = []
+    agent_ids = sorted(queues)
+
+    progressed = True
+    while progressed:
+        progressed = False
+        for agent_id in agent_ids:
+            queue = queues[agent_id]
+            profile, rng = profile_of[agent_id], rngs[agent_id]
+            i = next_index[agent_id]
+            while i < len(queue) and all(
+                c.source in times for c in gates.get(queue[i][1], ())
+            ):
+                petal, action = queue[i]
+                free = times[daisy.start]
+                if i > 0:
+                    previous_petal, previous = queue[i - 1]
+                    free = times[previous.end]
+                    if previous_petal is not petal:
+                        free += _transition(transition_lower, agent_id)
+                _run_action(action, free, gates.get(action, ()), times, profile, rng)
+                events.append(
+                    ExecutionEvent(agent=agent_id, petal=petal.name, action=action.name,
+                                   start=times[action.start], end=times[action.end])
+                )
+                i += 1
+                progressed = True
+            next_index[agent_id] = i
+
+    if any(next_index[a] < len(queues[a]) for a in agent_ids):
+        raise DeadlockError(_waiting_cycle(daisy, queues, next_index, gates, times))
+
+    events.sort(key=lambda e: (e.start, e.end))
+    times[daisy.end] = max((e.end for e in events), default=times[daisy.start])
+    return Trace(
+        events=tuple(events),
+        agents=tuple(a.id for a in daisy.agents),
+        seed=seed,
+        feasible=not check_schedule(stn, times),
+    )
+
+
+def _run_action(action, free, gates, times, profile, rng) -> None:
+    enabled = free
+    handoff_ready = None
+    for c in gates:
+        if c.kind is ConstraintKind.HANDOFF:
+            if handoff_ready is None or times[c.source] > handoff_ready:
+                handoff_ready = times[c.source]
+        else:
+            enabled = max(enabled, times[c.source] + c.lower)
+    if handoff_ready is not None:
+        triggered = profile.anticipation_probability > 0 and (
+            rng.random() < profile.anticipation_probability
+        )
+        if triggered and profile.anticipation_offset > 0:
+            handoff_ready -= rng.uniform(0.0, profile.anticipation_offset)
+        enabled = max(enabled, handoff_ready)
+    reaction = (
+        rng.uniform(0.0, profile.reaction_delay) if profile.reaction_delay > 0 else 0.0
+    )
+    start = enabled + reaction
+    times[action.start] = start
+    times[action.end] = start + _draw_duration(action, profile, rng)

@@ -479,6 +479,30 @@ def test_writer_matches_the_stdlib(value):
         assert dump_document(value) == expected
 
 
+#: Items of a list the writer may take in one encoder call: flat dicts and
+#: lists, empty ones, and containers nested one level deeper.
+list_items = (
+    flat_dicts | flat_lists | st.just({}) | st.just([])
+    | st.lists(flat_lists, max_size=2) | st.dictionaries(keys, flat_dicts, max_size=2)
+    | st.booleans() | st.none()
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(list_items, max_size=5) | st.lists(flat_dicts, max_size=5)
+       | st.lists(flat_lists | st.just([True, False]), max_size=5))
+def test_lists_of_containers_are_written_as_the_stdlib_writes_them(value):
+    try:
+        expected = json.dumps(value, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        with pytest.raises(DocumentError):
+            dump_document(value)
+    else:
+        assert dump_document(value) == expected
+        assert dump_document({"items": value, "more": [value]}) == json.dumps(
+            {"items": value, "more": [value]}, indent=2) + "\n"
+
+
 def test_written_documents_match_the_stdlib(packaging):
     def stdlib(document):
         return json.dumps(document, indent=2, allow_nan=False) + "\n"
@@ -744,6 +768,39 @@ def test_event_times_raise_what_they_always_raised(times, expected):
     assert str(excinfo.value) == message
 
 
+def proxied(node, keep=None):
+    """``node`` with every object a ``MappingProxyType``: no parser fast path
+    takes anything but a plain dict, so this forces the full checks. The
+    value ``keep`` stays as it is, so that complaints quote it alike."""
+    if node is keep:
+        return node
+    if isinstance(node, dict):
+        return MappingProxyType({k: proxied(v, keep) for k, v in node.items()})
+    if isinstance(node, list):
+        return [proxied(item, keep) for item in node]
+    return node
+
+
+def parsed(parse, document):
+    """What a parse gives: the canonical document, or the complaint."""
+    write = daisy_document if parse is parse_daisy else trace_document
+    try:
+        return "parsed", json.dumps(write(parse(document)))
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return type(exc), getattr(exc, "errors", str(exc))
+
+
+def dropped_at(document, path):
+    """``document`` without the field at ``path`` (a list item stays)."""
+    out = replaced(document, path, None)
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict):
+        del parent[path[-1]]
+    return out
+
+
 def fuzz_documents():
     documents = valid_documents()
     return [
@@ -765,3 +822,90 @@ def test_parsers_raise_only_document_errors(case, value):
         parse(replaced(document, path, value))
     except DocumentError:
         pass
+
+
+#: Values near what a valid constraint, action or event holds, so that the
+#: fast paths' guards are probed at their edges.
+near_valid = st.sampled_from([
+    "Vs", "Ve", "handoff", "other", "makespan", "",
+    "Seal Package.Fold Flaps.start", "Retrieve Object A.Place Object A.end",
+    "Seal Package.Fold Flaps.middle", "Seal Package.Unfold.start",
+    0, 1, 0.0, -0.0, 2.5, -1.0, 1e308, 10**400, math.inf, -math.inf, math.nan,
+    None, True, False, "human", "robot",
+])
+
+
+#: Fuzz cases inside the records the parsers have a fast path for.
+RECORD_CASES = [
+    case for case in FUZZ_CASES
+    if case[0] is not parse_profiles and len(case[2]) > 2
+    and (case[2][0] in ("constraints", "events") or "actions" in case[2])
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.sampled_from(RECORD_CASES),
+    st.sampled_from(["replace", "drop", "rename"]),
+    near_valid | json_values,
+)
+def test_fast_paths_agree_with_the_full_checks(case, edit, value):
+    parse, document, path = case
+    if edit == "replace":
+        document = replaced(document, path, value)
+    else:
+        document = dropped_at(document, path)
+        if edit == "rename" and len(path) > 1:
+            parent = document
+            for key in path[:-2]:
+                parent = parent[key]
+            if isinstance(parent[path[-2]], dict):
+                parent[path[-2]]["spare"] = value
+    assert parsed(parse, document) == parsed(parse, proxied(document, keep=value))
+
+
+@pytest.mark.parametrize("fields", [
+    {"kind": "handoff", "lower": 0.0, "spare": None},
+    {"kind": "handoff", "lower": 0.0, "upper": None},
+    {"kind": "other", "lower": -0.0, "upper": 5.0},
+    {"kind": "other", "lower": 0, "upper": 5},
+    {"kind": "other", "lower": 1.0, "upper": math.inf},
+    {"kind": "other", "lower": -math.inf, "upper": 5.0},
+    {"kind": "other", "lower": math.nan, "upper": 5.0},
+    {"kind": "other", "lower": 1.0, "upper": math.nan},
+    {"kind": "HANDOFF", "lower": 0.0, "upper": None},
+], ids=["spare field", "plain", "negative zero", "ints", "infinite upper",
+        "infinite lower", "nan lower", "nan upper", "bad kind"])
+def test_constraint_guard_agrees_with_the_full_checks(fields):
+    constraint = {"source": "supply.fetch.end", "target": "consume.use.start", **fields}
+    document = tiny_doc(constraints=[constraint])
+    assert parsed(parse_daisy, document) == parsed(parse_daisy, proxied(document))
+
+
+def three_events(**changes):
+    events = [
+        {"agent": "a", "petal": "p", "action": "x", "start": 0.0, "end": 1.0},
+        {"agent": "b", "petal": "q", "action": "y", "start": 0.5, "end": 2.0},
+        {"agent": "a", "petal": "p", "action": "z", "start": 1.0, "end": 1.5},
+    ]
+    events[1].update(changes)
+    return events
+
+
+@pytest.mark.parametrize("document", [
+    {"agents": ["a", "b"], "events": three_events()},
+    {"agents": ["a", "b"], "events": three_events(start=-0.5)},
+    {"agents": ["a", "b"], "events": three_events(start=0.0, end=0.0)},
+    {"agents": ["a", "b"], "events": three_events(start=1.25)},
+    {"agents": ["a", "b"], "start_time": 0.25, "events": three_events()},
+    {"agents": ["a", "b"], "start_time": 0.75, "events": three_events()},
+    {"agents": ["a", "b"], "start_time": "soon", "events": three_events()},
+    {"agents": ["a"], "events": three_events()},
+    {"agents": [], "events": three_events()},
+    {"agents": ["a", ""], "events": three_events(agent="")},
+    {"agents": ["a", "b"], "events": three_events(end=0.25)},
+], ids=["plain", "backwards", "zero length", "overtakes the next", "start_time",
+        "before start_time", "bad start_time", "off the roster", "no roster",
+        "empty agent", "inverted"])
+def test_event_guard_agrees_with_the_full_checks(document):
+    assert parsed(parse_trace, document) == parsed(parse_trace, proxied(document))

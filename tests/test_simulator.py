@@ -15,6 +15,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from madtn import (
     INF,
@@ -48,6 +49,7 @@ from madtn.files import (
     trace_document,
 )
 from madtn.simulate import realized_times
+from oracles import reference_simulate
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -210,6 +212,105 @@ def lanes_text() -> str:
 
 def test_simulate_reproduces_its_recorded_lanes_runs():
     assert lanes_text().encode() == (GOLDEN / "lanes" / "runs.json").read_bytes()
+
+
+def random_daisy(rng, shape: str) -> Daisy:
+    """Lanes (each agent's petals declared in turn) or a chain (owners
+    alternating), with random handoffs, gates and deadlines; some waits
+    form a cycle."""
+    agents = tuple(Agent(f"g{k}") for k in range(rng.randint(2, 3)))
+    count = rng.randint(2, 6)
+    owners = (
+        [agents[k % len(agents)].id for k in range(count)] if shape == "chain"
+        else sorted(rng.choice(agents).id for _ in range(count))
+    )
+    petals = []
+    for k, owner in enumerate(owners):
+        actions = []
+        for j in range(rng.randint(1, 3)):
+            lower = rng.choice((0.0, 0.5, 1.0, 1.25))
+            upper = rng.choice((lower, lower + 0.75, lower + 2.0, INF))
+            actions.append(build_action(f"a{j}", lower, upper))
+        petals.append(build_petal(f"P{k}", actions, owner=owner))
+    base = Daisy(agents=agents, petals=tuple(petals))
+    vertices = [v for p in petals for a in p.actions for v in (a.start, a.end)]
+    constraints = []
+    for _ in range(rng.randint(0, count)):
+        # Mostly forward in declaration order, so that most tasks can run.
+        source, target = sorted(rng.sample(petals, 2), key=petals.index,
+                                reverse=rng.random() < 0.1)
+        constraints.append(ExternalConstraint(
+            ConstraintKind.HANDOFF, rng.choice(source.actions).end,
+            rng.choice(target.actions).start, 0.0, INF,
+        ))
+    for _ in range(rng.randint(0, 3)):
+        source = rng.choice([base.start] + vertices)
+        target = rng.choice(vertices)
+        lower = rng.choice((-1.0, 0.0, 0.5, 1.5))
+        constraints.append(ExternalConstraint(
+            ConstraintKind.OTHER, source, target, lower, rng.choice((lower + 3.0, INF)),
+        ))
+    if rng.random() < 0.3:
+        constraints.append(ExternalConstraint(
+            ConstraintKind.MAKESPAN, base.start, base.end, 0.0, rng.choice((4.0, 40.0)),
+        ))
+    return Daisy(agents=agents, petals=base.petals, constraints=tuple(constraints),
+                 start=base.start, end=base.end)
+
+
+def random_profile(rng) -> BehaviorProfile:
+    return BehaviorProfile(
+        duration_mode=rng.choice(list(DurationMode)),
+        reaction_delay=rng.choice((0.0, 0.0, 0.4)),
+        anticipation_probability=rng.choice((0.0, 0.5, 1.0)),
+        anticipation_offset=rng.choice((0.0, 0.75)),
+        mean_fraction=rng.choice((0.0, 0.5, 0.8)),
+        stddev_fraction=rng.choice((0.0, 1 / 6, 0.5)),
+    )
+
+
+def outcome(run, *args, **kwargs):
+    """What a simulation gives: its events and verdict, or its exception."""
+    try:
+        trace = run(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return type(exc), str(exc)
+    return trace.events, trace.feasible, trace.agents, trace.seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(["lanes", "chain"]))
+def test_planned_runs_equal_the_reference_loop(rng, shape):
+    daisy = random_daisy(rng, shape)
+    names = [p.name for p in daisy.petals]
+    orderings = [None, rng.sample(names, len(names)), rng.sample(names, len(names))]
+    agent_ids = [a.id for a in daisy.agents]
+    transitions = [0.0, rng.choice((0.5, 1.25)),
+                   {a: rng.choice((0.0, 0.25, 1.0)) for a in rng.sample(agent_ids, 2)}]
+    profiles = {a: random_profile(rng) for a in agent_ids if rng.random() < 0.8}
+    # Calls alternate between orderings on one task, so a plan kept for one
+    # ordering is asked for again after another's.
+    for _ in range(2):
+        for ordering in orderings:
+            seed = rng.randrange(1000)
+            transition = rng.choice(transitions)
+            kwargs = dict(profiles=profiles, seed=seed, ordering=ordering,
+                          transition_lower=transition)
+            expected = outcome(reference_simulate, daisy, **kwargs)
+            assert outcome(simulate, daisy, **kwargs) == expected
+
+
+def test_the_reference_loop_reproduces_the_recorded_runs(packaging):
+    daisy = parse_daisy(LANES).daisy
+    profiles = lanes_profiles()["mixed"]
+    ordering, transition = LANES_CONFIGS["ordered"]
+    recorded = json.loads((GOLDEN / "lanes" / "runs.json").read_text())["mixed/ordered/1"]
+    trace = reference_simulate(daisy, profiles=profiles, seed=1, ordering=ordering,
+                               transition_lower=transition)
+    assert trace_document(TraceDocument(trace=trace)) == recorded
+    for seed in range(3):
+        assert (reference_simulate(packaging.daisy, profiles=busy_profiles(), seed=seed)
+                == simulate(packaging.daisy, profiles=busy_profiles(), seed=seed))
 
 
 def test_release_times_hold_actions_back():
