@@ -31,7 +31,7 @@ from .errors import (
     InconsistentOrderingError,
     UnknownAgentError,
 )
-from .stn import STN, TemporalConstraint, TimePoint, check_schedule
+from .stn import INF, STN, TemporalConstraint, TimePoint, check_schedule
 
 
 class DurationMode(str, Enum):
@@ -374,7 +374,7 @@ def _draw_duration(
     lower, upper = action.lower, action.upper
     mode = profile.duration_mode
     # Unbounded or degenerate ranges leave nothing to sample.
-    if mode is DurationMode.LOWER_BOUND or upper == lower or upper == float("inf"):
+    if mode is DurationMode.LOWER_BOUND or upper == lower or upper == INF:
         return lower
     if mode is DurationMode.UNIFORM:
         return rng.uniform(lower, upper)
