@@ -226,9 +226,10 @@ def parse_trace(source: str | Mapping[str, Any]) -> TraceDocument:
     else:
         previous = -math.inf
         for i, item in enumerate(raw_events):
-            # A plain object of exactly the five fields, with names, finite
-            # float times in order, an agent on the roster and a start in
-            # order, passes every check below; its path is never spelled.
+            # A plain object of exactly the five fields, with names, an agent
+            # on the roster, and finite float times in order that start at
+            # or after both the previous event and start_time, passes every
+            # check below; its path is never spelled.
             if item.__class__ is dict and len(item) == 5:
                 agent, petal, action = item.get("agent"), item.get("petal"), item.get("action")
                 start, end = item.get("start"), item.get("end")
