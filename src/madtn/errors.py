@@ -111,7 +111,7 @@ class UnknownAgentError(MadtnError):
 
 
 class AgentCountError(MadtnError):
-    """Pairwise metrics are defined for exactly two agents."""
+    """Pairwise metrics are defined for exactly two distinct agents."""
 
 
 class NonHandoffKindError(MadtnError):

@@ -199,10 +199,12 @@ def parse_trace(source: str | Mapping[str, Any]) -> TraceDocument:
         errors.append("agents: expected a non-empty list of agent ids")
     else:
         for i, item in enumerate(raw_agents):
-            if isinstance(item, str) and item:
-                agents.append(item)
-            else:
+            if not isinstance(item, str) or not item:
                 errors.append(f"agents[{i}]: expected a non-empty string")
+            elif item in agents:
+                errors.append(f"agents[{i}]: {item!r} is already on the roster")
+            else:
+                agents.append(item)
 
     seed = data.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):

@@ -17,9 +17,9 @@ of each of its actions. Then one sweep over the sorted endpoints of those
 base sets and the window classifies each elementary segment by the base
 sets that cover it; a derived set (idle, waiting, resting, concurrent
 activity and inactivity, sole activity) is the run of segments whose class
-it holds, so each comes out sorted and merged, endpoint for endpoint what
-the ``IntervalSet`` formulas in ``_derived`` give, down to the sign of a
-zero.
+it holds, so each comes out sorted and merged. A trace that holds both 0.0
+and -0.0 is evaluated by the ``_derived`` formulas in the ``IntervalSet``
+algebra; every other trace takes the sweep, which gives the same sets.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from .errors import (
     UnknownAgentError,
 )
 from .intervals import IntervalSet
-from .simulate import Trace, _matched_times, realized_times
+from .simulate import Trace, realized_times
 from .stn import TOLERANCE, TimePoint
 
 
@@ -53,7 +53,7 @@ def activity_intervals(trace: Trace, agent_id: str) -> IntervalSet:
     ``UnknownAgentError``.
     """
     _require_on_roster(trace, agent_id)
-    return _swept(trace, (agent_id,))[0]
+    return _Timeline(trace, trace.end_time).sweep((agent_id,))[0]
 
 
 @dataclass(frozen=True)
@@ -87,18 +87,18 @@ class IdleBreakdown:
 def agent_idle_time(trace: Trace, agent_id: str) -> IdleBreakdown:
     """Break down when the agent was not acting during the window."""
     _require_on_roster(trace, agent_id)
-    _, idle, waiting, resting = _swept(trace, (agent_id,))
+    _, idle, waiting, resting = _Timeline(trace, trace.end_time).sweep((agent_id,))
     return IdleBreakdown(agent_id, idle, waiting, resting)
 
 
 def concurrent_activity(trace: Trace) -> IntervalSet:
     """When both agents of a two-agent trace were acting at once."""
-    return _swept(trace, _exactly_two(trace))[_CONCURRENT_ACTIVITY]
+    return _Timeline(trace, trace.end_time).sweep(_exactly_two(trace))[_CONCURRENT_ACTIVITY]
 
 
 def concurrent_inactivity(trace: Trace) -> IntervalSet:
     """When both agents of a two-agent trace were idle at once."""
-    return _swept(trace, _exactly_two(trace))[_CONCURRENT_INACTIVITY]
+    return _Timeline(trace, trace.end_time).sweep(_exactly_two(trace))[_CONCURRENT_INACTIVITY]
 
 
 @dataclass(frozen=True)
@@ -194,7 +194,7 @@ def handoff_delays(daisy: Daisy, trace: Trace) -> tuple[HandoffDelays, ...]:
     A trace that is not a run of the task raises ``CoverageError``.
     """
     times = realized_times(daisy, trace)
-    ready = _Timeline(trace, trace.end_time).ready
+    ready = _Timeline(trace, times[daisy.end]).ready
     return _handoff_delays(times, ready, handoff_constraints(daisy))
 
 
@@ -282,8 +282,8 @@ def fluency_report(daisy: Daisy, trace: Trace) -> FluencyReport:
     that is not a run of the task raises ``CoverageError``.
     """
     first, second = _exactly_two(trace)
-    end = trace.end_time  # a max over every event, so read once
-    times = _matched_times(daisy, trace, end)
+    times = realized_times(daisy, trace)
+    end = times[daisy.end]  # the trace end, a max over every event, read once
     timeline = _Timeline(trace, end)
     (
         _, idle_first, waiting_first, resting_first,
@@ -314,10 +314,10 @@ def fluency_report(daisy: Daisy, trace: Trace) -> FluencyReport:
 
 
 def _exactly_two(trace: Trace) -> tuple[str, str]:
-    if len(trace.agents) != 2:
+    if len(trace.agents) != 2 or trace.agents[0] == trace.agents[1]:
         raise AgentCountError(
-            f"metric is defined for exactly two agents, trace has "
-            f"{len(trace.agents)}: {list(trace.agents)}"
+            f"metric is defined for exactly two distinct agents, trace roster is "
+            f"{list(trace.agents)}"
         )
     return trace.agents[0], trace.agents[1]
 
@@ -327,11 +327,6 @@ def _require_on_roster(trace: Trace, agent_id: str) -> None:
         raise UnknownAgentError(
             f"agent {agent_id!r} is not on the trace roster {list(trace.agents)}"
         )
-
-
-def _swept(trace: Trace, agents: tuple[str, ...]) -> list[IntervalSet]:
-    """The sets ``_derived`` names for ``agents``, from one group-by and one sweep."""
-    return _Timeline(trace, trace.end_time).sweep(agents)
 
 
 def _derived(meet, minus, window, active, within) -> list:
@@ -456,7 +451,8 @@ class _Timeline:
         segment between two of them lies in one combination of base sets,
         which fixes the derived sets it lies in, so a derived set starts or
         ends wherever that membership changes; abutting segments of one
-        set thereby merge.
+        set thereby merge. When the times read hold both 0.0 and -0.0, the
+        sets come from ``_algebra`` instead, which fixes the sign of each zero.
         """
         bases = [[self.start, self.end] if self.end > self.start else []]
         for agent in agents:
@@ -466,6 +462,8 @@ class _Timeline:
             flag = 1 << bit
             for time in bounds:
                 flips[time] = flips.get(time, 0) ^ flag
+        if 0.0 in flips and _both_zeros(self, agents):
+            return self._algebra(agents)
         count, members = _memberships(len(agents))
         out: list[list[float]] = [[] for _ in range(count)]  # boundaries per derived set
         changes: dict[int, list[int]] = {}  # the derived sets whose bits change
@@ -481,11 +479,30 @@ class _Timeline:
                 for k in changed:
                     out[k].append(time)
             mask = after
-        if 0.0 in flips and _both_zeros(self, agents):
-            _sign_zeros(self, agents, flips, out)
         # tuple() of an iterator grows the tuple by resizing it as it goes; built
         # that way, resident memory crept up by about 2 MB over 3 000 reports.
         return [IntervalSet._from_normal(tuple(list(zip(it, it)))) for it in map(iter, out)]
+
+    def _algebra(self, agents: tuple[str, ...]) -> list[IntervalSet]:
+        """Every set ``_derived`` names, by its formula in the ``IntervalSet`` algebra.
+
+        The sets are those ``sweep`` builds. Where a trace holds both 0.0 and
+        -0.0, the algebra also decides which zero each endpoint is, so each
+        agent's activity and petal spans are built from its events in trace
+        order, as the formulas are defined on them.
+        """
+        active, within = [], []
+        for agent in agents:
+            mine, spans = [], {}
+            for event in self.trace.events:
+                if event.agent == agent:
+                    mine.append((event.start, event.end))
+                    lo, hi = spans.get(event.petal, (event.start, event.end))
+                    spans[event.petal] = (min(lo, event.start), max(hi, event.end))
+            active.append(IntervalSet.from_pairs(mine))
+            within.append(IntervalSet.from_pairs(spans.values()))
+        span = IntervalSet.single(self.start, self.end)
+        return _derived(IntervalSet.__and__, IntervalSet.__sub__, span, active, within)
 
 
 def _both_zeros(timeline: _Timeline, agents: tuple[str, ...]) -> bool:
@@ -497,59 +514,3 @@ def _both_zeros(timeline: _Timeline, agents: tuple[str, ...]) -> bool:
                 break
             zeros += (start, end)
     return len({math.copysign(1.0, time) for time in zeros if time == 0}) > 1
-
-
-def _sign_zeros(timeline: _Timeline, agents, flips, out) -> None:
-    """Give each derived set's endpoint at zero the zero the algebra gives it.
-
-    Equal times differ only in the sign of zero, so only there does it
-    matter which of several equal endpoints a set keeps. Where a union of
-    intervals starts, ``_normalize`` keeps the start of its first interval in
-    (start, end, input) order, and where it ends, the end of the first
-    interval in that order that reaches the end. ``&`` and ``-`` keep their
-    left operand's endpoint where it has one, else the right operand's, so
-    each derived set's zero follows from its formula in ``_derived``.
-    """
-    before = 0
-    for time, flip in flips.items():
-        if time < 0:
-            before ^= flip
-    after = before ^ flips[0.0]
-    unions: list[list[tuple[float, float]]] = [[(timeline.start, timeline.end)]]
-    for agent in agents:
-        mine, spans = [], {}
-        for event in timeline.trace.events:
-            if event.agent == agent:
-                mine.append((event.start, event.end))
-                lo, hi = spans.get(event.petal, (event.start, event.end))
-                spans[event.petal] = (min(lo, event.start), max(hi, event.end))
-        unions += (mine, list(spans.values()))
-    leaves = []  # (in before zero, in after zero, the endpoint kept at zero)
-    for bit, union in enumerate(unions):
-        was, now = bool(before >> bit & 1), bool(after >> bit & 1)
-        leaves.append((was, now, _kept_zero(union, now) if was != now else None))
-
-    def kept(left, right):
-        return left[2] if left[0] != left[1] else right[2]
-
-    derived = _derived(
-        lambda left, right: (left[0] and right[0], left[1] and right[1], kept(left, right)),
-        lambda left, right: (
-            left[0] and not right[0], left[1] and not right[1], kept(left, right)
-        ),
-        leaves[0],
-        leaves[1::2],
-        leaves[2::2],
-    )
-    for bounds, (was, now, zero) in zip(out, derived):
-        if was != now:
-            bounds[bounds.index(0.0)] = zero
-
-
-def _kept_zero(intervals: list[tuple[float, float]], starting: bool) -> float:
-    """The zero ``_normalize`` keeps where the union of ``intervals`` starts or ends at zero."""
-    if starting:
-        return float(min((end, i, start) for i, (start, end) in enumerate(intervals)
-                         if start == 0 and end > start)[2])
-    return float(min((start, i, end) for i, (start, end) in enumerate(intervals)
-                     if end == 0 and end > start)[2])

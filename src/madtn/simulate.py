@@ -454,18 +454,13 @@ def realized_times(daisy: Daisy, trace: Trace) -> dict[TimePoint, float]:
     one event per action, by the owner of the action's petal, this raises
     ``CoverageError`` naming the missing and the unexpected events.
     """
-    return _matched_times(daisy, trace, trace.end_time)
-
-
-def _matched_times(daisy: Daisy, trace: Trace, end_time: float) -> dict[TimePoint, float]:
-    """``realized_times``, for a caller that has read ``trace.end_time``."""
     pending: dict[tuple[str, str], tuple[Petal, Action]] = {
         (petal.name, action.name): (petal, action)
         for petal in daisy.petals
         for action in petal.actions
     }
     times: dict[TimePoint, float] = {
-        daisy.start: trace.start_time, daisy.end: end_time
+        daisy.start: trace.start_time, daisy.end: trace.end_time
     }
     extra: list[str] = []
     for event in trace.events:

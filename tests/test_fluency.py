@@ -111,6 +111,17 @@ def test_concurrency_requires_exactly_two_agents():
         concurrent_inactivity(crowded)
 
 
+def test_pairwise_metrics_reject_a_roster_that_names_an_agent_twice():
+    # A trace built through the API, which no parser has checked: one worker
+    # alone must not be scored as working concurrently with itself.
+    task = Daisy(agents=(Agent("human"),),
+                 petals=(Petal("H0", (Action("a", 0.0),), owner="human"),))
+    trace = hand_trace(["human", "human"], [("human", "H0", "a", 0.0, 1.0)])
+    for metric in (concurrent_activity, concurrent_inactivity, lambda t: fluency_report(task, t)):
+        with pytest.raises(AgentCountError, match=r"\['human', 'human'\]"):
+            metric(trace)
+
+
 def test_punctual_fixture_numbers(packaging):
     daisy = packaging.daisy
     trace = simulate(daisy)
@@ -746,3 +757,13 @@ def test_the_sweep_equals_the_interval_set_algebra(trace):
     assert exactly([(report.window_end, report.makespan)]) == exactly(
         [(trace.end_time, trace.makespan)]
     )
+
+
+def test_a_shared_zero_takes_its_sign_from_the_first_event_in_trace_order():
+    # Two events of one agent differ only in the sign of their zero start. The
+    # later one in trace order has the lower petal name, so events taken in
+    # (start, end, petal, action) order would give activity the other zero.
+    trace = api_trace([("a", "a1", "x0", -0.0, 1.0), ("a", "a0", "x1", 0.0, 1.0)])
+    expected = IntervalSet.from_pairs([(-0.0, 1.0), (0.0, 1.0)])
+    assert exactly(activity_intervals(trace, "a")) == exactly(expected) == exactly([(-0.0, 1.0)])
+    assert exactly(fluency_report(daisy_of(trace), trace).sole_activity["a"]) == exactly(expected)

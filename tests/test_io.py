@@ -333,6 +333,14 @@ def test_trace_events_must_be_on_the_roster_and_in_order():
     assert excinfo.value.errors == ["events[0].start: 0.0 is before start_time 2.0"]
 
 
+def test_a_roster_that_names_an_agent_twice_is_rejected():
+    repeated = {"agents": ["human", "human"], "events": [
+        {"agent": "human", "petal": "H0", "action": "a", "start": 0.0, "end": 1.0}]}
+    with pytest.raises(DocumentError) as excinfo:
+        parse_trace(repeated)
+    assert excinfo.value.errors == ["agents[1]: 'human' is already on the roster"]
+
+
 def test_report_document_shape(packaging):
     daisy = packaging.daisy
     report = fluency_report(daisy, simulate(daisy))
