@@ -254,11 +254,8 @@ def _cmd_simulate(args) -> int:
             ordering=ordering,
             transition_lower=args.transition,
         )
-        document = files.trace_document(
-            files.TraceDocument(trace=trace, daisy=reference)
-        )
         path = out_dir / f"trace-{seed}.json"
-        files.save_document(document, path)
+        files.save_document(files.TraceDocument(trace=trace, daisy=reference), path)
         print(f"wrote {path}")
     return 0
 
@@ -268,7 +265,7 @@ def _cmd_analyze(args) -> int:
     trace = files.load_trace(args.trace).trace
     report = fluency_report(daisy, trace)
     # The JSON form refuses a non-finite figure, so text output does too.
-    document = files.dump_document(files.report_document(report))
+    document = files.dump_document(report)
     if args.output == "json":
         sys.stdout.write(document)
     else:

@@ -296,13 +296,16 @@ def trace_document(doc: TraceDocument) -> dict[str, Any]:
             "start": e.start,
             "end": e.end,
         }
-        for e in sorted(
-            trace.events, key=lambda e: (e.start, e.end, e.agent, e.petal, e.action)
-        )
+        for e in _in_order(trace.events)
     ]
     if doc.comments is not None:
         out["comments"] = doc.comments
     return out
+
+
+def _in_order(events: tuple[ExecutionEvent, ...]) -> list[ExecutionEvent]:
+    """Events in the order a trace document lists them."""
+    return sorted(events, key=lambda e: (e.start, e.end, e.agent, e.petal, e.action))
 
 
 def report_document(report: FluencyReport) -> dict[str, Any]:
@@ -365,14 +368,30 @@ def _interval_entry(report: FluencyReport, spans: IntervalSet) -> dict[str, Any]
     }
 
 
-def dump_document(document: dict[str, Any]) -> str:
-    """Serialize a document dict to its canonical JSON text.
+def dump_document(document: dict[str, Any] | TraceDocument | FluencyReport) -> str:
+    """Serialize a document to its canonical JSON text.
 
-    The text is exactly ``json.dumps(document, indent=2, allow_nan=False)``
-    plus a newline, but written through the stdlib's C encoder, which
-    ``indent`` alone would bypass. A non-finite float raises
+    For a dict the text is exactly ``json.dumps(document, indent=2,
+    allow_nan=False)`` plus a newline, but written through the stdlib's C
+    encoder, which ``indent`` alone would bypass. A non-finite float raises
     ``DocumentError`` naming its path.
+
+    A ``TraceDocument`` or ``FluencyReport`` is written straight from its
+    fields, to the bytes of its dict form (``trace_document``,
+    ``report_document``), without building that form. The dict form stays
+    the reference: a record with a number that is not a finite, exact
+    ``float`` or ``int`` (a ``bool`` seed among them) or a name that is not
+    a ``str`` is written through it, so its bytes and complaints are the
+    dict form's.
     """
+    if isinstance(document, TraceDocument):
+        if (text := _trace_text(document)) is not None:
+            return text
+        document = trace_document(document)
+    elif isinstance(document, FluencyReport):
+        if (text := _report_text(document)) is not None:
+            return text
+        document = report_document(document)
     try:
         return _dump(document, 0) + "\n"
     except ValueError:
@@ -394,11 +413,15 @@ def load_profiles(path: str | os.PathLike) -> dict[str, BehaviorProfile]:
     return parse_profiles(_read(path))
 
 
-def save_document(document: dict[str, Any], path: str | os.PathLike) -> None:
+def save_document(document: dict[str, Any] | TraceDocument | FluencyReport,
+                  path: str | os.PathLike) -> None:
     """Write a document atomically: never leaves a half-written file behind.
 
-    A directory that cannot take the file is named in the error, not the
-    temporary file the write goes through.
+    The text is ``dump_document``'s, so a ``TraceDocument`` or
+    ``FluencyReport`` is written straight from its fields, to the bytes of
+    its dict form, which stays the reference. A directory that cannot take
+    the file is named in the error, not the temporary file the write goes
+    through.
     """
     target = Path(path)
     text = dump_document(document)
@@ -568,6 +591,116 @@ def _non_finite(value: Any, path: str) -> str | None:
             if problem is not None:
                 return problem
     return None
+
+
+# The record writers below lay out what ``_dump`` writes for the dict form,
+# and return None for a record that form must write. ``%s`` writes an exact
+# float or int as its ``repr``, as the encoder does, and
+# ``encode_basestring_ascii`` raises TypeError on a name that is not a str.
+
+
+def _finite(numbers: list[Any]) -> bool:
+    """Whether every item is an exact ``float`` or ``int``, and finite."""
+    try:
+        return {float, int}.issuperset(map(type, numbers)) and all(map(math.isfinite, numbers))
+    except OverflowError:  # an int past the largest float, which json still writes
+        return False
+
+
+def _items(rows: list[str], brackets: str, pad: str) -> str:
+    """Rendered items between ``brackets``, one a line, the closing one at ``pad``."""
+    if not rows:
+        return brackets
+    return f"{brackets[0]}\n{pad}  " + f",\n{pad}  ".join(rows) + f"\n{pad}{brackets[1]}"
+
+
+@functools.cache
+def _template(keys: tuple[str, ...], pad: str) -> str:
+    """A ``%``-template for an object of ``keys``, its closing brace at ``pad``."""
+    return _items([f'"{key}": %s' for key in keys], "{}", pad)
+
+
+def _trace_text(doc: TraceDocument) -> str | None:
+    """``dump_document(trace_document(doc))``, written from the records."""
+    trace, esc = doc.trace, encode_basestring_ascii
+    events = _in_order(trace.events)
+    times = [trace.start_time, *chain.from_iterable((e.start, e.end) for e in events)]
+    if trace.seed.__class__ is not int or trace.feasible.__class__ is not bool or not _finite(times):
+        return None
+    event = _template(("agent", "petal", "action", "start", "end"), "    ")
+    keys = ("agents", "seed", "feasible", "start_time", "events")
+    try:
+        values = [
+            _items(list(map(esc, trace.agents)), "[]", "  "), trace.seed,
+            "true" if trace.feasible else "false", trace.start_time,
+            _items([event % (esc(e.agent), esc(e.petal), esc(e.action), e.start, e.end)
+                    for e in events], "[]", "  "),
+        ]
+        if doc.daisy is not None:
+            keys, values = ("daisy", *keys), [esc(doc.daisy), *values]
+        if doc.comments is not None:
+            keys, values = (*keys, "comments"), [*values, esc(doc.comments)]
+    except TypeError:
+        return None
+    return _template(keys, "") % tuple(values) + "\n"
+
+
+def _report_text(report: FluencyReport) -> str | None:
+    """``dump_document(report_document(report))``, written from the records."""
+    agents, esc = report.agents, encode_basestring_ascii
+    # Keyed as the dict form keys them, so an agent named twice merges the same way.
+    by_agent = {a: report.delay_by_agent.get(a) for a in agents}
+    idle = {b.agent: (b.total, b.waiting_time, b.resting_time) for b in report.idle}
+    handoffs = [(h, h.product_available, h.receiver_ready, h.receipt_start, h.readiness_delay,
+                 h.functional_delay) for h in report.handoffs]
+    numbers = [report.window_start, report.window_end, report.makespan, *by_agent.values(),
+               *chain.from_iterable(idle.values()), *(d.delay for d in report.petal_delays),
+               *chain.from_iterable(row[1:] for row in handoffs)]
+    entries = [_interval_text(report, spans, "  ")
+               for spans in (report.concurrent_activity, report.concurrent_inactivity)]
+    entries += [_interval_text(report, spans, "    ") for spans in report.sole_activity.values()]
+    if not _finite(numbers) or None in entries:
+        return None
+    idle_row = _template(("total", "waiting", "resting"), "    ")
+    delay = _template(("source_petal", "target_petal", "agent", "delay"), "    ")
+    handoff = _template(("source", "source_agent", "target", "target_agent", "product_available",
+                         "receiver_ready", "receipt_start", "readiness_delay", "functional_delay",
+                         "state"), "    ")
+    try:
+        values = (
+            _items(list(map(esc, agents)), "[]", "  "),
+            _template(("start", "end", "makespan"), "  ")
+            % (report.window_start, report.window_end, report.makespan),
+            _items([f"{esc(a)}: {idle_row % figures}" for a, figures in idle.items()], "{}", "  "),
+            *entries[:2],
+            _items([f"{esc(a)}: {e}" for a, e in zip(report.sole_activity, entries[2:])],
+                   "{}", "  "),
+            _items([delay % (esc(d.source_petal), esc(d.target_petal), esc(d.agent), d.delay)
+                    for d in report.petal_delays], "[]", "  "),
+            _items([f"{esc(a)}: {x!r}" for a, x in by_agent.items()], "{}", "  "),
+            _items([handoff % (esc(h.source_petal + "." + h.source_action), esc(h.source_agent),
+                               esc(h.target_petal + "." + h.target_action), esc(h.target_agent),
+                               *figures, esc(h.state.value))
+                    for h, *figures in handoffs], "[]", "  "),
+        )
+    except TypeError:
+        return None
+    keys = ("agents", "window", "idle", "concurrent_activity", "concurrent_inactivity",
+            "sole_activity", "petal_delays", "delay_by_agent", "handoffs")
+    return _template(keys, "") % values + "\n"
+
+
+def _interval_text(report: FluencyReport, spans: IntervalSet, pad: str) -> str | None:
+    """What ``_interval_entry`` gives, as written with its closing brace at ``pad``."""
+    if not isinstance(spans, IntervalSet):
+        return None
+    seconds = spans.measure
+    fraction = report.fraction_of_makespan(seconds)
+    if not _finite([seconds, fraction, *chain.from_iterable(spans.intervals)]):
+        return None
+    pair = _items(["%s", "%s"], "[]", pad + "    ")
+    intervals = _items(list(map(pair.__mod__, spans.intervals)), "[]", pad + "  ")
+    return _template(("seconds", "fraction", "intervals"), pad) % (seconds, fraction, intervals)
 
 
 # -- parsing internals -------------------------------------------------------

@@ -65,6 +65,7 @@ from typing import Collection, Mapping
 from .errors import (
     InconsistentNetworkError,
     InvertedBoundsError,
+    MadtnError,
     MissingTimePointError,
     UnboundedScheduleError,
     UnknownTimePointError,
@@ -75,6 +76,10 @@ INF = math.inf
 #: Absolute tolerance, in seconds, for every time comparison in the package.
 #: Constraint checks add a few units in the last place of the times compared.
 TOLERANCE = 1e-9
+
+#: Bound on the sum of a network's arc weight magnitudes: a quarter of
+#: ``sys.float_info.max`` (see ``solve``).
+MAGNITUDE_LIMIT = 1.7976931348623157e308 / 4
 
 #: Owner of a petal that no agent has been assigned yet.
 UNASSIGNED = "unassigned"
@@ -309,6 +314,14 @@ def solve(stn: STN) -> DistanceGraph:
     for. Cycles weighing at least ``-TOLERANCE``, such as zero-weight cycles
     that rounding leaves slightly negative, never make a network
     inconsistent.
+
+    Raises ``MadtnError`` naming the sum when the magnitudes of the finite
+    arc weights add up to ``MAGNITUDE_LIMIT`` or more. Every label and
+    potential is a path sum, so that sum bounds each of them and every
+    weight. The largest quantity the solver forms, a reduced cost against a
+    label, adds a label, a weight and two potentials, so it stays finite
+    while the sum stays under a quarter of the largest float; past it, a
+    sum could overflow to infinity and give a wrong verdict.
     """
     points = stn.timepoints
     n = len(points)
@@ -327,6 +340,13 @@ def solve(stn: STN) -> DistanceGraph:
                 self_consistent = self_consistent and weight >= -TOLERANCE
             elif weight < weights.get((tail, head), INF):
                 weights[tail, head] = weight
+    try:
+        magnitude = math.fsum(map(abs, weights.values()))
+    except OverflowError:
+        magnitude = INF  # past the largest float
+    if magnitude >= MAGNITUDE_LIMIT:
+        raise MadtnError(f"bounds too large to solve: their magnitudes sum to {magnitude:g} s, "
+                         f"and the limit is {MAGNITUDE_LIMIT:g} s, a quarter of the largest float")
     successors: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     predecessors: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     for (tail, head), weight in weights.items():

@@ -656,3 +656,30 @@ def test_cli_returns_a_status_for_any_document(case, data):
             code = run_cli(argv)
     assert code in (0, 1), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def overflowing_task(tmp_path):
+    """The packaged task with two actions of at least 1e308 s under its 60 s cap."""
+    doc = json.loads(packaged_example_path().read_text())
+    petal = next(p for p in doc["petals"] if p["name"] == "Retrieve Object A")
+    for action in petal["actions"][:2]:
+        action["lower"], action["upper"] = 1e308, 1.5e308
+    task = tmp_path / "overflow.json"
+    task.write_text(json.dumps(doc))
+    return str(task)
+
+
+@pytest.mark.parametrize("command", ["compile", "schedule", "plan"])
+def test_bounds_whose_sums_overflow_are_refused(tmp_path, capsys, command):
+    task = overflowing_task(tmp_path)
+    assert run(capsys, "validate", task)[0] == 0  # the document itself is sound
+    code, out, err = run(capsys, command, task)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bounds too large to solve: their magnitudes sum to inf s")
+
+
+@pytest.mark.parametrize("command", ["compile", "schedule"])
+def test_a_transition_whose_sums_overflow_is_refused(capsys, command):
+    code, out, err = run(capsys, command, TASK, "--transition", "1e308")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bounds too large to solve: their magnitudes sum to inf s")

@@ -6,7 +6,7 @@ import math
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from madtn import (
     GLOBAL_END_TOKEN,
@@ -18,8 +18,15 @@ from madtn import (
     DocumentError,
     DurationMode,
     ExecutionEvent,
+    FluencyReport,
+    HandoffDelays,
+    HandoffState,
+    IdleBreakdown,
+    IntervalSet,
     InvertedBoundsError,
     NegativeDurationError,
+    PetalDelay,
+    Trace,
     TraceDocument,
     daisy_document,
     dump_document,
@@ -37,6 +44,9 @@ from madtn import (
     trace_document,
     validate_daisy,
 )
+from madtn import files as madtn_files
+
+from test_fluency import daisy_of, sweep_traces
 
 from fuzzing import field_paths, json_values, replaced, valid_documents
 
@@ -917,3 +927,136 @@ def three_events(**changes):
         "empty agent", "inverted"])
 def test_event_guard_agrees_with_the_full_checks(document):
     assert parsed(parse_trace, document) == parsed(parse_trace, proxied(document))
+
+
+# -- records written straight from their fields -------------------------------
+
+#: Names that need escaping: non-ASCII letters, a quote, a backslash, control characters.
+RECORD_NAMES = st.text(st.sampled_from('aé"\\\x00\x1f\n😀'), min_size=1, max_size=3)
+#: Signed zeros, the smallest subnormal, near-overflow, non-finite, ints and plain floats.
+RECORD_NUMBERS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan,
+                     1.0, 2.5]),
+    st.integers(-3, 3),
+    st.floats(),
+)
+
+
+def written(record, dict_form):
+    """``dump_document`` of the record and of its dict form, each text or complaint."""
+    out = []
+    for document in (record, dict_form(record)):
+        try:
+            out.append(dump_document(document))
+        except DocumentError as exc:
+            out.append(f"DocumentError: {exc}")
+    return out
+
+
+def assert_written_as_its_dict_form(record, dict_form):
+    direct, reference = written(record, dict_form)
+    assert direct == reference
+    if not direct.startswith("DocumentError: "):
+        assert direct == json.dumps(dict_form(record), indent=2, allow_nan=False) + "\n"
+
+
+@st.composite
+def record_traces(draw):
+    """Trace documents built through the API: any roster, ties only names break."""
+    names = st.sampled_from(draw(st.lists(RECORD_NAMES, min_size=1, max_size=3)))
+    times = st.sampled_from(draw(st.lists(RECORD_NUMBERS, min_size=1, max_size=3)))
+    events = []
+    for agent, petal, action, one, other in draw(st.lists(
+        st.tuples(names, names, names, times, times), max_size=6
+    )):
+        try:
+            events.append(ExecutionEvent(agent, petal, action, *sorted((one, other))))
+        except ValueError:  # a NaN time
+            continue
+    trace = Trace(
+        events=tuple(draw(st.permutations(events))),
+        agents=tuple(draw(st.lists(names, max_size=3))),
+        seed=draw(st.one_of(st.integers(), st.integers(2**64, 2**70), st.booleans())),
+        feasible=draw(st.booleans()),
+        start_time=draw(RECORD_NUMBERS),
+    )
+    return TraceDocument(trace, daisy=draw(st.none() | RECORD_NAMES),
+                         comments=draw(st.none() | st.text(max_size=4)))
+
+
+TIED = Trace(events=(
+    ExecutionEvent("r", "p", "b", 1.0, 2.0), ExecutionEvent("h", "p", "b", 1.0, 2.0),
+    ExecutionEvent("h", "p", "a", 1.0, 2.0), ExecutionEvent("h", "o", "c", 1.0, 2.0),
+), agents=("h", "r"), seed=0, feasible=True)
+
+
+@settings(max_examples=500, deadline=None)
+@given(record_traces())
+@example(TraceDocument(TIED))
+@example(TraceDocument(Trace(events=(), agents=(), seed=-1, feasible=False, start_time=3)))
+@example(TraceDocument(Trace(events=(ExecutionEvent("h", "p", "a", 0, 1),), agents=("h",),
+                             seed=2**70, feasible=True)))
+@example(TraceDocument(Trace(events=(ExecutionEvent("h", "p", "a", 0.0, math.inf),),
+                             agents=("h",), seed=0, feasible=True)))
+def test_trace_records_are_written_as_their_dict_form(doc):
+    assert_written_as_its_dict_form(doc, trace_document)
+
+
+@st.composite
+def interval_sets(draw):
+    ends = st.one_of(st.floats(-5.0, 5.0), st.sampled_from([-0.0, -math.inf, math.inf]))
+    return IntervalSet.from_pairs(draw(st.lists(st.tuples(ends, ends), max_size=3)))
+
+
+@st.composite
+def built_reports(draw):
+    """Reports built through the API: any figure, int measures, empty sets, one agent twice."""
+    names = st.sampled_from(draw(st.lists(RECORD_NAMES, min_size=1, max_size=3)))
+    agents = (draw(names), draw(names))
+    return FluencyReport(
+        agents=agents,
+        window_start=draw(RECORD_NUMBERS),
+        window_end=draw(RECORD_NUMBERS),
+        makespan=draw(RECORD_NUMBERS),
+        idle=tuple(IdleBreakdown(agent, *(draw(interval_sets()) for _ in range(3)))
+                   for agent in agents),
+        concurrent_activity=draw(interval_sets()),
+        concurrent_inactivity=draw(interval_sets()),
+        sole_activity={agent: draw(interval_sets()) for agent in agents},
+        petal_delays=tuple(draw(st.lists(
+            st.builds(PetalDelay, names, names, names, RECORD_NUMBERS), max_size=2
+        ))),
+        delay_by_agent={agent: draw(RECORD_NUMBERS) for agent in agents},
+        handoffs=tuple(draw(st.lists(st.builds(
+            HandoffDelays, names, names, names, names, names, names,
+            *(RECORD_NUMBERS for _ in range(5)), st.sampled_from(HandoffState),
+        ), max_size=2))),
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(built_reports())
+def test_built_reports_are_written_as_their_dict_form(report):
+    assert_written_as_its_dict_form(report, report_document)
+
+
+@settings(max_examples=500, deadline=None)
+@given(sweep_traces())
+def test_reports_of_two_agent_traces_are_written_as_their_dict_form(trace):
+    assert_written_as_its_dict_form(fluency_report(daisy_of(trace), trace), report_document)
+
+
+def test_records_are_written_without_their_dict_form(packaging, monkeypatch):
+    # A simulated trace and its report hold only plain names and finite
+    # floats, so neither record needs its dict form to be written.
+    trace = simulate(packaging.daisy, seed=3)
+    doc = TraceDocument(trace, daisy="packaging.daisy.json", comments="é")
+    report = fluency_report(packaging.daisy, trace)
+    expected = [dump_document(trace_document(doc)), dump_document(report_document(report))]
+
+    def refused(_):
+        raise AssertionError("the dict form was built")
+
+    monkeypatch.setattr(madtn_files, "trace_document", refused)
+    monkeypatch.setattr(madtn_files, "report_document", refused)
+    assert [dump_document(doc), dump_document(report)] == expected

@@ -590,3 +590,34 @@ def test_distance_graph_is_read_only():
     graph = solve(stn)
     with pytest.raises(UnknownTimePointError):
         graph.distance(TimePoint("stranger"), stn.timepoints[0])
+
+
+def test_solve_refuses_bounds_whose_magnitudes_could_overflow():
+    # Two actions of at least 1e308 s in a row: every sum along the chain
+    # overflows, so the verdict would rest on infinities.
+    net = STN()
+    a, b, c = net.add_timepoint("a"), net.add_timepoint("b"), net.add_timepoint("c")
+    net.constrain(a, b, 1e308, 1.5e308)
+    net.constrain(b, c, 1e308, 1.5e308)
+    net.constrain(a, c, 0.0, 60.0)
+    for call in (solve, consistent, earliest_schedule, minimal_network):
+        with pytest.raises(madtn.MadtnError, match=r"magnitudes sum to inf s"):
+            call(net)
+
+
+def test_the_magnitude_limit_is_a_quarter_of_the_largest_float():
+    limit = stn_module.MAGNITUDE_LIMIT
+    assert limit == sys.float_info.max / 4
+    net = STN()
+    a, b = net.add_timepoint("a"), net.add_timepoint("b")
+    net.constrain(a, b, 0.0, limit)
+    with pytest.raises(madtn.MadtnError, match=r"sum to 4\.49423e\+307 s, and the limit is"):
+        solve(net)
+    below = STN()
+    a, b = below.add_timepoint("a"), below.add_timepoint("b")
+    below.constrain(a, b, 0.0, math.nextafter(limit, 0.0))
+    below.anchor = a
+    graph = solve(below)
+    assert graph.consistent
+    assert graph.bounds(a, b) == (0.0, math.nextafter(limit, 0.0))
+    assert earliest_schedule(below) == {a: 0.0, b: 0.0}
