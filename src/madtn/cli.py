@@ -21,8 +21,8 @@ from pathlib import Path
 from typing import Sequence
 
 from . import files
-from .daisy import Daisy, compile_to_stn, validation_warnings
-from .errors import MadtnError
+from .daisy import Daisy, _ordered_petals, compile_to_stn, validation_warnings
+from .errors import MadtnError, MalformedOrderingError
 from .fluency import FluencyReport, fluency_report
 from .planner import enumerate_orders, greedy_assign
 from .simulate import simulate
@@ -168,9 +168,15 @@ def _chosen_ordering(args, doc: files.DaisySpecDocument) -> tuple[str, ...] | No
 
 def _cmd_validate(args) -> int:
     # Parsing already folds in model validation; reaching here means sound.
-    _, daisy = _load_task(args)
+    doc, daisy = _load_task(args)
     for warning in validation_warnings(daisy):
         print(f"warning: {warning}", file=sys.stderr)
+    # An ordering that is no permutation of the petals still parses, and plan
+    # ignores it, but compile, schedule and simulate refuse it.
+    try:
+        _ordered_petals(daisy, doc.ordering)
+    except MalformedOrderingError as exc:
+        print(f"warning: {exc}", file=sys.stderr)
     print("ok")
     return 0
 

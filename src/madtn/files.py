@@ -26,7 +26,7 @@ import json
 import math
 import os
 import tempfile
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from importlib import resources
 from itertools import chain
@@ -371,9 +371,8 @@ def _interval_entry(report: FluencyReport, spans: IntervalSet) -> dict[str, Any]
 def dump_document(document: dict[str, Any] | TraceDocument | FluencyReport) -> str:
     """Serialize a document to its canonical JSON text.
 
-    For a dict the text is exactly ``json.dumps(document, indent=2,
-    allow_nan=False)`` plus a newline, but written through the stdlib's C
-    encoder, which ``indent`` alone would bypass. A non-finite float raises
+    For a dict the text is ``json.dumps(document, indent=2,
+    allow_nan=False)`` plus a newline. A non-finite float raises
     ``DocumentError`` naming its path.
 
     A ``TraceDocument`` or ``FluencyReport`` is written straight from its
@@ -393,7 +392,7 @@ def dump_document(document: dict[str, Any] | TraceDocument | FluencyReport) -> s
             return text
         document = report_document(document)
     try:
-        return _dump(document, 0) + "\n"
+        return json.dumps(document, indent=2, allow_nan=False) + "\n"
     except ValueError:
         problem = _non_finite(document, "")
         if problem is None:
@@ -503,75 +502,6 @@ def load_packaged_example() -> DaisySpecDocument:
 
 # -- writing internals -------------------------------------------------------
 
-#: Exact types the C encoder writes the same at any depth. Subclasses (a
-#: ``ConstraintKind``, say) take the general path, which writes them as
-#: ``json`` does too.
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-
-
-@functools.cache
-def _encoder(depth: int) -> Callable[[Any], str]:
-    """The C encoder, separating items with a newline and the indent of
-    the items of a container at ``depth``."""
-    return json.JSONEncoder(
-        separators=(",\n" + "  " * (depth + 1), ": "), allow_nan=False
-    ).encode
-
-
-def _dump(value: Any, depth: int) -> str:
-    """``value`` as indent-2 JSON for a container at ``depth``.
-
-    A container of scalars is one encoder call with its brackets moved onto
-    their own lines. So is a list of non-empty containers of scalars, all
-    dicts or all lists: only the joints between its items need rewriting,
-    and since the encoder escapes every newline inside a string, a joint is
-    the only place ``},\\n<indent>{`` (or ``],\\n<indent>[``) can occur.
-    """
-    is_dict = isinstance(value, dict)
-    if not is_dict and not isinstance(value, (list, tuple)):
-        return _encoder(depth)(value)
-    if not value:
-        return "{}" if is_dict else "[]"
-    outer = "  " * depth
-    inner = "  " * (depth + 1)
-    if _SCALARS.issuperset(map(type, value.values() if is_dict else value)):
-        text = _encoder(depth)(value)
-        return f"{text[0]}\n{inner}{text[1:-1]}\n{outer}{text[-1]}"
-    if is_dict:
-        lines = [f"{inner}{_key(k)}: {_dump(v, depth + 1)}" for k, v in value.items()]
-        return "{\n" + ",\n".join(lines) + f"\n{outer}}}"
-    kind = value[0].__class__
-    if (
-        (kind is dict or kind is list)
-        and {kind}.issuperset(map(type, value))
-        and all(value)
-        and _SCALARS.issuperset(
-            map(type, chain.from_iterable(map(dict.values, value) if kind is dict else value))
-        )
-    ):
-        opening, closing = "{}" if kind is dict else "[]"
-        deeper = "  " * (depth + 2)
-        text = _encoder(depth + 1)(value)[2:-2].replace(
-            f"{closing},\n{deeper}{opening}",
-            f"\n{inner}{closing},\n{inner}{opening}\n{deeper}",
-        )
-        return f"[\n{inner}{opening}\n{deeper}{text}\n{inner}{closing}\n{outer}]"
-    lines = [inner + _dump(item, depth + 1) for item in value]
-    return "[\n" + ",\n".join(lines) + f"\n{outer}]"
-
-
-def _key(key: Any) -> str:
-    """An object key as ``json`` writes it: numbers and constants quoted."""
-    if not isinstance(key, str):
-        if key is not None and not isinstance(key, (int, float)):
-            raise TypeError(
-                "keys must be str, int, float, bool or None, "
-                f"not {key.__class__.__name__}"
-            )
-        key = _encoder(0)(key)
-    return encode_basestring_ascii(key)
-
-
 def _non_finite(value: Any, path: str) -> str | None:
     """A complaint naming the first non-finite float in ``value``, if any."""
     if isinstance(value, float):
@@ -593,9 +523,9 @@ def _non_finite(value: Any, path: str) -> str | None:
     return None
 
 
-# The record writers below lay out what ``_dump`` writes for the dict form,
-# and return None for a record that form must write. ``%s`` writes an exact
-# float or int as its ``repr``, as the encoder does, and
+# The record writers below lay out what ``json.dumps(indent=2)`` writes for
+# the dict form, and return None for a record that form must write. ``%s``
+# writes an exact float or int as its ``repr``, as the encoder does, and
 # ``encode_basestring_ascii`` raises TypeError on a name that is not a str.
 
 

@@ -91,6 +91,41 @@ def test_validate_warns_about_mid_petal_handoffs(tmp_path, capsys):
     assert "mid-petal" in err
 
 
+PETALS = [p["name"] for p in json.loads(packaged_example_path().read_text())["petals"]]
+
+
+@pytest.mark.parametrize("ordering", [PETALS[:2], [*PETALS, PETALS[0]]],
+                         ids=["two-of-six", "repeated"])
+def test_validate_warns_about_an_ordering_compile_refuses(tmp_path, capsys, ordering):
+    doc = json.loads(packaged_example_path().read_text())
+    doc["ordering"] = ordering
+    path = tmp_path / "ordered.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 0  # the document parses, and plan ignores the field
+    assert out == "ok\n"
+    assert err.startswith("warning: ordering must name each petal exactly once")
+    assert err.count("\n") == 1
+    code, out, compile_err = run(capsys, "compile", str(path))
+    assert (code, out) == (1, "")
+    assert compile_err == err.replace("warning:", "error:", 1)
+
+
+@pytest.mark.parametrize("ordering", [PETALS[::-1], None], ids=["permutation", "absent"])
+def test_validate_is_silent_on_a_permutation_or_no_ordering(tmp_path, capsys, ordering):
+    doc = json.loads(packaged_example_path().read_text())
+    if ordering is not None:
+        doc["ordering"] = ordering
+    path = tmp_path / "ordered.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out, err) == (0, "ok\n", "")
+    if ordering is not None:  # even one whose network is inconsistent
+        code, out, err = run(capsys, "compile", str(path))
+        assert (code, out) == (1, "")
+        assert "consistent: no" in err
+
+
 def test_domain_failures_go_to_stderr(tmp_path, capsys):
     code, out, err = run(capsys, "validate", str(tmp_path / "missing.json"))
     assert code == 1
