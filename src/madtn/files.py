@@ -44,11 +44,11 @@ from .daisy import (
     validate_daisy,
 )
 from .errors import DocumentError, MadtnError, UnknownTimePointError
-from .fluency import FluencyReport
-from .intervals import IntervalSet
-from .planner import CapabilityTable
 from .simulate import BehaviorProfile, DurationMode, ExecutionEvent, Trace
 from .stn import INF, TimePoint, UNASSIGNED
+
+# ``fluency``, ``intervals`` and ``planner`` are imported by the functions that
+# use them, so reading a task with no capabilities loads none of the three.
 
 
 @dataclass(frozen=True)
@@ -383,6 +383,8 @@ def dump_document(document: dict[str, Any] | TraceDocument | FluencyReport) -> s
     a ``str`` is written through it, so its bytes and complaints are the
     dict form's.
     """
+    from .fluency import FluencyReport
+
     if isinstance(document, TraceDocument):
         if (text := _trace_text(document)) is not None:
             return text
@@ -527,6 +529,8 @@ def _non_finite(value: Any, path: str) -> str | None:
 # the dict form, and return None for a record that form must write. ``%s``
 # writes an exact float or int as its ``repr``, as the encoder does, and
 # ``encode_basestring_ascii`` raises TypeError on a name that is not a str.
+# Every name is escaped before any formatting, so that escape is the only
+# TypeError that sends a record to its dict form.
 
 
 def _finite(numbers: list[Any]) -> bool:
@@ -557,21 +561,18 @@ def _trace_text(doc: TraceDocument) -> str | None:
     times = [trace.start_time, *chain.from_iterable((e.start, e.end) for e in events)]
     if trace.seed.__class__ is not int or trace.feasible.__class__ is not bool or not _finite(times):
         return None
-    event = _template(("agent", "petal", "action", "start", "end"), "    ")
-    keys = ("agents", "seed", "feasible", "start_time", "events")
     try:
-        values = [
-            _items(list(map(esc, trace.agents)), "[]", "  "), trace.seed,
-            "true" if trace.feasible else "false", trace.start_time,
-            _items([event % (esc(e.agent), esc(e.petal), esc(e.action), e.start, e.end)
-                    for e in events], "[]", "  "),
-        ]
-        if doc.daisy is not None:
-            keys, values = ("daisy", *keys), [esc(doc.daisy), *values]
-        if doc.comments is not None:
-            keys, values = (*keys, "comments"), [*values, esc(doc.comments)]
+        agents = list(map(esc, trace.agents))
+        rows = [(esc(e.agent), esc(e.petal), esc(e.action), e.start, e.end) for e in events]
+        head = [] if doc.daisy is None else [esc(doc.daisy)]
+        tail = [] if doc.comments is None else [esc(doc.comments)]
     except TypeError:
         return None
+    event = _template(("agent", "petal", "action", "start", "end"), "    ")
+    values = [*head, _items(agents, "[]", "  "), trace.seed, "true" if trace.feasible else "false",
+              trace.start_time, _items(list(map(event.__mod__, rows)), "[]", "  "), *tail]
+    keys = ("daisy",) * len(head) + ("agents", "seed", "feasible", "start_time", "events")
+    keys += ("comments",) * len(tail)
     return _template(keys, "") % tuple(values) + "\n"
 
 
@@ -591,30 +592,34 @@ def _report_text(report: FluencyReport) -> str | None:
     entries += [_interval_text(report, spans, "    ") for spans in report.sole_activity.values()]
     if not _finite(numbers) or None in entries:
         return None
+    try:
+        names = list(map(esc, agents))
+        idle_names, sole_names, delay_names = (list(map(esc, keys)) for keys in (
+            idle, report.sole_activity, by_agent))
+        delays = [(esc(d.source_petal), esc(d.target_petal), esc(d.agent), d.delay)
+                  for d in report.petal_delays]
+        handoff_rows = [(esc(h.source_petal + "." + h.source_action), esc(h.source_agent),
+                         esc(h.target_petal + "." + h.target_action), esc(h.target_agent),
+                         *figures, esc(h.state.value)) for h, *figures in handoffs]
+    except TypeError:
+        return None
     idle_row = _template(("total", "waiting", "resting"), "    ")
     delay = _template(("source_petal", "target_petal", "agent", "delay"), "    ")
     handoff = _template(("source", "source_agent", "target", "target_agent", "product_available",
                          "receiver_ready", "receipt_start", "readiness_delay", "functional_delay",
                          "state"), "    ")
-    try:
-        values = (
-            _items(list(map(esc, agents)), "[]", "  "),
-            _template(("start", "end", "makespan"), "  ")
-            % (report.window_start, report.window_end, report.makespan),
-            _items([f"{esc(a)}: {idle_row % figures}" for a, figures in idle.items()], "{}", "  "),
-            *entries[:2],
-            _items([f"{esc(a)}: {e}" for a, e in zip(report.sole_activity, entries[2:])],
-                   "{}", "  "),
-            _items([delay % (esc(d.source_petal), esc(d.target_petal), esc(d.agent), d.delay)
-                    for d in report.petal_delays], "[]", "  "),
-            _items([f"{esc(a)}: {x!r}" for a, x in by_agent.items()], "{}", "  "),
-            _items([handoff % (esc(h.source_petal + "." + h.source_action), esc(h.source_agent),
-                               esc(h.target_petal + "." + h.target_action), esc(h.target_agent),
-                               *figures, esc(h.state.value))
-                    for h, *figures in handoffs], "[]", "  "),
-        )
-    except TypeError:
-        return None
+    values = (
+        _items(names, "[]", "  "),
+        _template(("start", "end", "makespan"), "  ")
+        % (report.window_start, report.window_end, report.makespan),
+        _items([f"{a}: {idle_row % figures}" for a, figures in zip(idle_names, idle.values())],
+               "{}", "  "),
+        *entries[:2],
+        _items([f"{a}: {e}" for a, e in zip(sole_names, entries[2:])], "{}", "  "),
+        _items(list(map(delay.__mod__, delays)), "[]", "  "),
+        _items([f"{a}: {x!r}" for a, x in zip(delay_names, by_agent.values())], "{}", "  "),
+        _items(list(map(handoff.__mod__, handoff_rows)), "[]", "  "),
+    )
     keys = ("agents", "window", "idle", "concurrent_activity", "concurrent_inactivity",
             "sole_activity", "petal_delays", "delay_by_agent", "handoffs")
     return _template(keys, "") % values + "\n"
@@ -622,6 +627,8 @@ def _report_text(report: FluencyReport) -> str | None:
 
 def _interval_text(report: FluencyReport, spans: IntervalSet, pad: str) -> str | None:
     """What ``_interval_entry`` gives, as written with its closing brace at ``pad``."""
+    from .intervals import IntervalSet
+
     if not isinstance(spans, IntervalSet):
         return None
     seconds = spans.measure
@@ -960,6 +967,8 @@ def _parse_capabilities(
     if not _is_object(raw):
         errors.append("capabilities: expected an object keyed by agent id")
         return None
+    from .planner import CapabilityTable
+
     table = CapabilityTable()
     for agent_id, row in raw.items():
         path = f"capabilities.{agent_id}"

@@ -368,6 +368,10 @@ def _start_gates(daisy: Daisy) -> dict[Action, list[ExternalConstraint]]:
     return out
 
 
+#: Truncated-normal draws rejected before a duration is drawn by inverse CDF.
+_REDRAWS = 100
+
+
 def _draw_duration(
     action: Action, profile: BehaviorProfile, rng: random.Random
 ) -> float:
@@ -383,10 +387,23 @@ def _draw_duration(
     sd = profile.stddev_fraction * width
     if sd == 0:
         return mean
-    while True:
+    for _ in range(_REDRAWS):
         value = rng.gauss(mean, sd)
         if lower <= value <= upper:
             return value
+    # The bounds hold too little of the bell for redrawing to end soon (a
+    # large stddev_fraction): draw from the same truncated normal by
+    # inverting its CDF over the bounds.
+    from statistics import NormalDist
+
+    bell = NormalDist(mean, sd)
+    low, high = bell.cdf(lower), bell.cdf(upper)
+    if low == high:  # the bell is flat over the bounds at float precision
+        return rng.uniform(lower, upper)
+    p = rng.uniform(low, high)
+    if not 0.0 < p < 1.0:  # a tail the CDF rounds to 0 or 1
+        return lower if p <= 0.0 else upper
+    return min(max(bell.inv_cdf(p), lower), upper)
 
 
 def _waiting_cycle(

@@ -1060,3 +1060,15 @@ def test_records_are_written_without_their_dict_form(packaging, monkeypatch):
     monkeypatch.setattr(madtn_files, "trace_document", refused)
     monkeypatch.setattr(madtn_files, "report_document", refused)
     assert [dump_document(doc), dump_document(report)] == expected
+
+
+def test_a_broken_template_raises_instead_of_taking_the_dict_form(packaging, monkeypatch):
+    # Only escaping a name that is not a str sends a record to its dict form;
+    # a formatting error of the writer's own must show.
+    trace = simulate(packaging.daisy, seed=3)
+    report = fluency_report(packaging.daisy, trace)
+    template = madtn_files._template
+    monkeypatch.setattr(madtn_files, "_template", lambda keys, pad: template(keys[:-1], pad))
+    for record in (TraceDocument(trace), report):
+        with pytest.raises(TypeError, match="not all arguments converted"):
+            dump_document(record)

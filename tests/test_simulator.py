@@ -11,6 +11,11 @@ from __future__ import annotations
 
 import importlib
 import json
+import os
+import random
+import statistics
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -19,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from madtn import (
     INF,
+    Action,
     Agent,
     BehaviorProfile,
     ConstraintKind,
@@ -44,6 +50,7 @@ from madtn.files import (
     TraceDocument,
     dump_document,
     load_packaged_example,
+    load_trace,
     packaged_example_path,
     parse_daisy,
     trace_document,
@@ -638,6 +645,44 @@ def test_events_must_run_forward():
         ExecutionEvent(agent="x", petal="p", action="a", start=2.0, end=1.0)
     with pytest.raises(ValueError):
         ExecutionEvent(agent="x", petal="p", action="a", start=float("nan"), end=1.0)
+
+
+def test_a_bell_far_wider_than_its_bounds_still_draws_inside_them(tmp_path):
+    # Redrawing alone lands inside an action's bounds about once in 2.5e9
+    # tries here; the run must end anyway, and every draw stay in bounds.
+    profiles = tmp_path / "profiles.json"
+    profiles.write_text(json.dumps({"human": {"duration_mode": "truncated_normal",
+                                              "stddev_fraction": 1e9}}))
+    source = str(Path(importlib.import_module("madtn").__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "madtn", "simulate", str(packaged_example_path()), "--seed", "1",
+         "--profiles", str(profiles), "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": source},
+    )
+    assert done.returncode == 0, done.stderr
+    daisy = load_packaged_example().daisy
+    bounds = {(p.name, a.name): (a.lower, a.upper) for p in daisy.petals for a in p.actions}
+    human = [e for e in load_trace(tmp_path / "trace-1.json").trace.events if e.agent == "human"]
+    assert human
+    for event in human:
+        lower, upper = bounds[event.petal, event.action]
+        assert lower - 1e-9 <= event.end - event.start <= upper + 1e-9
+
+
+@pytest.mark.parametrize("redraws", [0, 100])
+def test_truncated_normal_draws_have_the_truncated_mean(monkeypatch, redraws):
+    # With no redraws every duration comes from the inverse-CDF fallback.
+    module = importlib.import_module("madtn.simulate")
+    monkeypatch.setattr(module, "_REDRAWS", redraws)
+    profile = BehaviorProfile(duration_mode="truncated_normal", mean_fraction=0.0,
+                              stddev_fraction=0.5)
+    rng = random.Random(11)
+    draws = [module._draw_duration(Action("a", 1.0, 3.0), profile, rng) for _ in range(20_000)]
+    assert all(1.0 <= d <= 3.0 for d in draws)
+    # N(1, 1) truncated to [1, 3]: mean 1 + (phi(0) - phi(2)) / (Phi(2) - Phi(0)).
+    unit = statistics.NormalDist()
+    expected = 1.0 + (unit.pdf(0.0) - unit.pdf(2.0)) / (unit.cdf(2.0) - unit.cdf(0.0))
+    assert statistics.fmean(draws) == pytest.approx(expected, abs=0.02)
 
 
 if __name__ == "__main__":
