@@ -26,7 +26,7 @@ from .errors import MadtnError, MalformedOrderingError
 from .fluency import FluencyReport, fluency_report
 from .planner import enumerate_orders, greedy_assign
 from .simulate import simulate
-from .stn import UNASSIGNED, earliest_schedule, solve
+from .stn import STN, UNASSIGNED, earliest_schedule, solve
 
 #: Environment variable that overrides where `simulate` writes trace files.
 OUT_DIR_VAR = "MADTN_OUT_DIR"
@@ -46,10 +46,7 @@ def run_cli(argv: Sequence[str]) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except MadtnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (MadtnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -154,27 +151,30 @@ def _add_compile_options(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_task(args) -> tuple[files.DaisySpecDocument, Daisy]:
-    doc = files.load_daisy(args.task)
-    return doc, doc.daisy
-
-
 def _chosen_ordering(args, doc: files.DaisySpecDocument) -> tuple[str, ...] | None:
-    flag = getattr(args, "ordering", None)
-    if flag is not None:
-        return tuple(name.strip() for name in flag.split(",") if name.strip())
+    if args.ordering is not None:
+        return tuple(name.strip() for name in args.ordering.split(",") if name.strip())
     return doc.ordering
+
+
+def _compile_task(args) -> tuple[Daisy, STN]:
+    """The task ``args`` names and its network under the chosen options."""
+    doc = files.load_daisy(args.task)
+    stn = compile_to_stn(
+        doc.daisy, ordering=_chosen_ordering(args, doc), transition_lower=args.transition
+    )
+    return doc.daisy, stn
 
 
 def _cmd_validate(args) -> int:
     # Parsing already folds in model validation; reaching here means sound.
-    doc, daisy = _load_task(args)
-    for warning in validation_warnings(daisy):
+    doc = files.load_daisy(args.task)
+    for warning in validation_warnings(doc.daisy):
         print(f"warning: {warning}", file=sys.stderr)
     # An ordering that is no permutation of the petals still parses, and plan
     # ignores it, but compile, schedule and simulate refuse it.
     try:
-        _ordered_petals(daisy, doc.ordering)
+        _ordered_petals(doc.daisy, doc.ordering)
     except MalformedOrderingError as exc:
         print(f"warning: {exc}", file=sys.stderr)
     print("ok")
@@ -182,10 +182,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_compile(args) -> int:
-    doc, daisy = _load_task(args)
-    stn = compile_to_stn(
-        daisy, ordering=_chosen_ordering(args, doc), transition_lower=args.transition
-    )
+    daisy, stn = _compile_task(args)
     graph = solve(stn)
     lines = [f"timepoints: {len(stn)}", f"constraints: {len(stn.constraints)}"]
     if not graph.consistent:
@@ -202,10 +199,7 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_schedule(args) -> int:
-    doc, daisy = _load_task(args)
-    stn = compile_to_stn(
-        daisy, ordering=_chosen_ordering(args, doc), transition_lower=args.transition
-    )
+    daisy, stn = _compile_task(args)
     times = earliest_schedule(stn)
     for point in stn.timepoints:
         print(f"{times[point]:12.6f}  {daisy.vertex_path(point)}")
@@ -216,7 +210,8 @@ def _cmd_plan(args) -> int:
     if args.limit < 0:
         print("error: --limit must be at least 0", file=sys.stderr)
         return 2
-    doc, daisy = _load_task(args)
+    doc = files.load_daisy(args.task)
+    daisy = doc.daisy
     assigned = None
     if doc.capabilities is not None:
         assigned = greedy_assign(daisy, doc.capabilities)
@@ -244,7 +239,7 @@ def _cmd_simulate(args) -> int:
     if args.runs < 1:
         print("error: --runs must be at least 1", file=sys.stderr)
         return 2
-    doc, daisy = _load_task(args)
+    doc = files.load_daisy(args.task)
     profiles = {}
     if args.profiles is not None:
         profiles = files.load_profiles(args.profiles)
@@ -254,7 +249,7 @@ def _cmd_simulate(args) -> int:
     for i in range(args.runs):
         seed = args.seed + i
         trace = simulate(
-            daisy,
+            doc.daisy,
             profiles=profiles,
             seed=seed,
             ordering=ordering,
@@ -267,7 +262,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    _, daisy = _load_task(args)
+    daisy = files.load_daisy(args.task).daisy
     trace = files.load_trace(args.trace).trace
     report = fluency_report(daisy, trace)
     # The JSON form refuses a non-finite figure, so text output does too.

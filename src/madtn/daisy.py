@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from typing import TypeVar
@@ -123,7 +123,7 @@ class Petal:
 
     def with_owner(self, owner: str) -> Petal:
         """A copy assigned to ``owner``; actions (and their vertices) are shared."""
-        return Petal(name=self.name, actions=self.actions, owner=owner, tags=self.tags)
+        return replace(self, owner=owner)
 
 
 class ConstraintKind(str, Enum):
@@ -203,16 +203,10 @@ class Daisy:
         return tuple(_find_violations(self))
 
     @functools.cached_property
-    def _networks(self) -> dict[Hashable, STN]:
-        """Networks compiled for ``simulate`` and ``validate_trace``, keyed
-        by ordering and transition; they only read them, and they go with
-        the task."""
-        return {}
-
-    @functools.cached_property
-    def _plans(self) -> dict[Hashable, dict]:
-        """Each agent's run for ``simulate``, keyed by ordering; kept like
-        ``_networks``."""
+    def _compiled(self) -> dict[Hashable, tuple[STN, dict]]:
+        """What ``simulate`` compiles, keyed by ordering and transition: the
+        network and each agent's steps. It and ``validate_trace`` only read
+        them, and they go with the task."""
         return {}
 
     def petal(self, name: str) -> Petal:
@@ -269,13 +263,7 @@ class Daisy:
 
     def with_petals(self, petals: Sequence[Petal]) -> Daisy:
         """A copy with the petal tuple replaced (used after assignment)."""
-        return Daisy(
-            agents=self.agents,
-            petals=tuple(petals),
-            constraints=self.constraints,
-            start=self.start,
-            end=self.end,
-        )
+        return replace(self, petals=tuple(petals))
 
 
 def build_action(name: str, lower: float, upper: float = INF) -> Action:

@@ -420,9 +420,10 @@ def save_document(document: dict[str, Any] | TraceDocument | FluencyReport,
 
     The text is ``dump_document``'s, so a ``TraceDocument`` or
     ``FluencyReport`` is written straight from its fields, to the bytes of
-    its dict form, which stays the reference. A directory that cannot take
-    the file is named in the error, not the temporary file the write goes
-    through.
+    its dict form, which stays the reference. An error keeps the error
+    number of the failure and names the directory that cannot take the
+    file or the target it cannot replace, never the temporary file the
+    write goes through.
     """
     target = Path(path)
     text = dump_document(document)
@@ -436,11 +437,13 @@ def save_document(document: dict[str, Any] | TraceDocument | FluencyReport,
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(scratch, target)
-    except BaseException:
+    except BaseException as exc:
         try:
             os.unlink(scratch)
         except OSError:
             pass
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, str(target)) from None
         raise
 
 

@@ -69,25 +69,26 @@ class BehaviorProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "duration_mode", DurationMode(self.duration_mode))
-        if self.reaction_delay < 0:
-            raise ValueError(f"reaction_delay must be >= 0, got {self.reaction_delay}")
+        _check_non_negative("reaction_delay", self.reaction_delay)
         if not 0.0 <= self.anticipation_probability <= 1.0:
             raise ValueError(
                 "anticipation_probability must be in [0, 1], got "
                 f"{self.anticipation_probability}"
             )
-        if self.anticipation_offset < 0:
-            raise ValueError(
-                f"anticipation_offset must be >= 0, got {self.anticipation_offset}"
-            )
+        _check_non_negative("anticipation_offset", self.anticipation_offset)
         if not 0.0 <= self.mean_fraction <= 1.0:
             raise ValueError(
                 f"mean_fraction must be in [0, 1], got {self.mean_fraction}"
             )
-        if self.stddev_fraction < 0:
-            raise ValueError(
-                f"stddev_fraction must be >= 0, got {self.stddev_fraction}"
-            )
+        _check_non_negative("stddev_fraction", self.stddev_fraction)
+
+
+def _check_non_negative(name: str, value: float) -> None:
+    """Refuse a profile field that is not a finite number of at least 0."""
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True, init=False)
@@ -177,9 +178,9 @@ def simulate(
     frozen: repeated runs and ``validate_trace`` share it and only read it.
     That is a memo, not an option; there is no parameter to pass a network,
     and ``compile_to_stn`` still returns a fresh network to each caller.
-    Each agent's run is planned the same way, once per task and ordering:
-    its actions in order, each with the sources that gate its start. A run
-    then only draws times along the plan.
+    The same memo entry plans each agent's run: its actions in order, each
+    with the sources that gate its start. A run then only draws times along
+    the plan.
 
     An action waits for its agent's previous action (plus the transition gap
     when the agent switches petals) and for every constraint that can hold
@@ -191,7 +192,7 @@ def simulate(
     Raises ``DeadlockError`` when cross-petal waits form a cycle that no
     execution order can break.
     """
-    stn = _network(daisy, ordering, transition_lower)
+    stn, plan = _compiled(daisy, ordering, transition_lower)
     profiles = profiles or {}
     profile_of = {a.id: profiles.get(a.id) or BehaviorProfile() for a in daisy.agents}
     unknown = [agent_id for agent_id in profiles if agent_id not in profile_of]
@@ -200,7 +201,6 @@ def simulate(
             f"profiles name agents the task does not declare: "
             f"{', '.join(map(repr, unknown))}"
         )
-    plan = _plan(daisy, ordering)
     times: dict[TimePoint, float] = {daisy.start: 0.0}
     events: list[ExecutionEvent] = []
     agent_ids = sorted(plan)
@@ -288,46 +288,31 @@ def _network(
     ordering: Sequence[str] | None,
     transition_lower: float | Mapping[str, float],
 ) -> STN:
-    """The compiled network of ``daisy``, built on first use and kept with it.
+    """The compiled network of ``daisy``, from the entry ``_compiled`` keeps."""
+    return _compiled(daisy, ordering, transition_lower)[0]
 
-    Only networks that compiled are kept, so a bad argument is reported by
-    ``compile_to_stn`` on every call; one that cannot key the memo at all
-    is handed to it unkept.
+
+def _compiled(
+    daisy: Daisy,
+    ordering: Sequence[str] | None,
+    transition_lower: float | Mapping[str, float],
+) -> tuple[STN, dict[str, tuple[_Step, ...]]]:
+    """The network of ``daisy`` and each agent's steps under ``ordering``,
+    built on first use and kept with it.
+
+    Only what compiled is kept, so a bad argument is reported by
+    ``compile_to_stn`` on every call.
     """
-    try:
-        key = (
-            None if ordering is None else tuple(ordering),
-            frozenset(transition_lower.items())
-            if isinstance(transition_lower, Mapping) else transition_lower,
-        )
-        stn = daisy._networks.get(key)
-    except TypeError:
-        return compile_to_stn(daisy, ordering=ordering, transition_lower=transition_lower)
-    if stn is None:
-        stn = daisy._networks[key] = compile_to_stn(
-            daisy, ordering=key[0], transition_lower=transition_lower
-        )
-    return stn
-
-
-def _plan(daisy: Daisy, ordering: Sequence[str] | None) -> dict[str, tuple[_Step, ...]]:
-    """Each agent's steps under ``ordering``, built on first use and kept
-    with ``daisy`` beside its networks.
-
-    Called once ``_network`` has accepted ``ordering``, so it names every
-    petal once and keys the memo.
-    """
-    key = None if ordering is None else tuple(ordering)
-    plan = daisy._plans.get(key)
-    if plan is None:
-        plan = daisy._plans[key] = _build_plan(daisy, key)
-    return plan
-
-
-def _build_plan(
-    daisy: Daisy, ordering: Sequence[str] | None
-) -> dict[str, tuple[_Step, ...]]:
-    order = daisy.petals if ordering is None else [daisy.petal(name) for name in ordering]
+    key = (
+        None if ordering is None else tuple(ordering),
+        frozenset(transition_lower.items())
+        if isinstance(transition_lower, Mapping) else transition_lower,
+    )
+    entry = daisy._compiled.get(key)
+    if entry is not None:
+        return entry
+    stn = compile_to_stn(daisy, ordering=key[0], transition_lower=transition_lower)
+    order = daisy.petals if key[0] is None else [daisy.petal(name) for name in key[0]]
     gates = _start_gates(daisy)
     plan: dict[str, list[_Step]] = {a.id: [] for a in daisy.agents}
     for petal in order:
@@ -345,7 +330,10 @@ def _build_plan(
                 switches,
             ))
             switches = False
-    return {agent_id: tuple(steps) for agent_id, steps in plan.items()}
+    entry = daisy._compiled[key] = (
+        stn, {agent_id: tuple(steps) for agent_id, steps in plan.items()}
+    )
+    return entry
 
 
 def _start_gates(daisy: Daisy) -> dict[Action, list[ExternalConstraint]]:

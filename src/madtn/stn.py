@@ -167,14 +167,13 @@ class STN:
     """
 
     def __init__(self):
-        self._points: list[TimePoint] = []
-        self._members: set[TimePoint] = set()
+        self._index: dict[TimePoint, int] = {}  # point to position, in order
         self._constraints: list[TemporalConstraint] = []
         self._anchor: TimePoint | None = None
 
     @property
     def timepoints(self) -> tuple[TimePoint, ...]:
-        return tuple(self._points)
+        return tuple(self._index)
 
     @property
     def constraints(self) -> tuple[TemporalConstraint, ...]:
@@ -186,15 +185,15 @@ class STN:
 
     @anchor.setter
     def anchor(self, point: TimePoint) -> None:
-        if point not in self._members:
+        if point not in self._index:
             raise UnknownTimePointError(f"anchor {point!r} is not a member timepoint")
         self._anchor = point
 
     def __len__(self) -> int:
-        return len(self._points)
+        return len(self._index)
 
     def __contains__(self, point: TimePoint) -> bool:
-        return point in self._members
+        return point in self._index
 
     def add_timepoint(self, label: str = "") -> TimePoint:
         """Create a fresh timepoint, add it, and return it."""
@@ -204,10 +203,9 @@ class STN:
 
     def add_point(self, point: TimePoint) -> TimePoint:
         """Add an existing timepoint (used when vertices are built elsewhere)."""
-        if point in self._members:
+        if point in self._index:
             raise ValueError(f"{point!r} is already a member of this network")
-        self._points.append(point)
-        self._members.add(point)
+        self._index[point] = len(self._index)
         if self._anchor is None:
             self._anchor = point
         return point
@@ -219,7 +217,7 @@ class STN:
         intersection.
         """
         for endpoint in (constraint.source, constraint.target):
-            if endpoint not in self._members:
+            if endpoint not in self._index:
                 raise UnknownTimePointError(
                     f"constraint endpoint {endpoint!r} is not in the network"
                 )
@@ -253,7 +251,6 @@ class DistanceGraph:
         points: tuple[TimePoint, ...],
         index: dict[TimePoint, int],
         successors: list[list[tuple[int, float]]],
-        predecessors: list[list[tuple[int, float]]],
         potential: list[float] | None,
     ):
         self.points = points
@@ -261,7 +258,6 @@ class DistanceGraph:
         self.potential = potential
         self._index = index
         self._successors = successors
-        self._predecessors = predecessors
         self._rows: dict[int, list[float]] = {}
 
     def position(self, point: TimePoint) -> int:
@@ -325,7 +321,7 @@ def solve(stn: STN) -> DistanceGraph:
     """
     points = stn.timepoints
     n = len(points)
-    index = {p: i for i, p in enumerate(points)}
+    index = dict(stn._index)  # a copy: a solved network may be extended
     # Arc weights are upper bounds on time(head) - time(tail). Overlapping
     # constraints intersect via min. Infinite bounds contribute no arc, so
     # every weight is finite.
@@ -348,10 +344,8 @@ def solve(stn: STN) -> DistanceGraph:
         raise MadtnError(f"bounds too large to solve: their magnitudes sum to {magnitude:g} s, "
                          f"and the limit is {MAGNITUDE_LIMIT:g} s, a quarter of the largest float")
     successors: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    predecessors: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     for (tail, head), weight in weights.items():
         successors[tail].append((head, weight))
-        predecessors[head].append((tail, weight))
     potential = [0.0] * n
     inserted: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     consistent = self_consistent and all(
@@ -359,9 +353,7 @@ def solve(stn: STN) -> DistanceGraph:
         for tail in _insertion_order(successors)
         for head, weight in successors[tail]
     )
-    return DistanceGraph(
-        points, index, successors, predecessors, potential if consistent else None
-    )
+    return DistanceGraph(points, index, successors, potential if consistent else None)
 
 
 def _insertion_order(successors: list[list[tuple[int, float]]]) -> list[int]:
@@ -579,9 +571,13 @@ def earliest_schedule(stn: STN) -> Schedule:
     # d(i, anchor) for every i: one pass from the anchor over reversed arcs,
     # whose reduced costs under the negated potential are the forward ones.
     to_anchor = [INF] * len(graph.points)
+    predecessors: list[list[tuple[int, float]]] = [[] for _ in to_anchor]
+    for tail, out in enumerate(graph._successors):
+        for head, weight in out:
+            predecessors[head].append((tail, weight))
     reversed_potential = [-label for label in graph.potential]
     anchor = graph.position(stn.anchor)
-    fallen, _ = _fall(graph._predecessors, reversed_potential, to_anchor, anchor, 0.0)
+    fallen, _ = _fall(predecessors, reversed_potential, to_anchor, anchor, 0.0)
     for i, label in fallen.items():
         to_anchor[i] = label
     schedule: Schedule = {}
@@ -602,7 +598,7 @@ def check_schedule(stn: STN, schedule: Mapping[TimePoint, float]) -> list[Tempor
     is never negative, so a difference within the bounds themselves passes
     without it, and ``satisfied_by`` judges only the rest.
     """
-    for point in stn._points:
+    for point in stn._index:
         if point not in schedule:
             raise MissingTimePointError(f"schedule does not assign {point!r}")
     violated = []

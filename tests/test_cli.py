@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -627,6 +628,18 @@ def test_out_errors_name_the_directory(tmp_path, capsys, blocked):
     assert str(out_dir) in err
     assert ".tmp" not in err
     assert "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_an_out_target_that_is_a_directory_is_named_alone(tmp_path, capsys):
+    (tmp_path / "trace-1.json").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = run(capsys, "simulate", TASK, "--seed", "1", "--out", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    target = str(tmp_path / "trace-1.json")
+    assert err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {target!r}\n"
+    assert ".tmp" not in err
     assert sorted(tmp_path.rglob("*")) == before
 
 

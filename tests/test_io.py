@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from types import MappingProxyType
 
 import pytest
@@ -18,6 +19,7 @@ from madtn import (
     DocumentError,
     DurationMode,
     ExecutionEvent,
+    ExternalConstraint,
     FluencyReport,
     HandoffDelays,
     HandoffState,
@@ -26,6 +28,7 @@ from madtn import (
     InvertedBoundsError,
     NegativeDurationError,
     PetalDelay,
+    TimePoint,
     Trace,
     TraceDocument,
     daisy_document,
@@ -109,6 +112,17 @@ def test_canonical_form_is_a_fixed_point():
     canonical = daisy_document(parse_daisy(tiny_doc()))
     assert canonical["agents"] == [{"id": "x", "name": "x"}, {"id": "y", "name": "y"}]
     assert daisy_document(parse_daisy(canonical)) == canonical
+
+
+def test_a_constraint_endpoint_outside_the_task_is_not_written():
+    parsed = parse_daisy(tiny_doc())
+    daisy = parsed.daisy
+    ghost = ExternalConstraint(ConstraintKind.OTHER, TimePoint("ghost"), daisy.end, 0.0)
+    stray = replace(parsed, daisy=replace(daisy, constraints=(*daisy.constraints, ghost)))
+    with pytest.raises(DocumentError) as raised:
+        daisy_document(stray)
+    assert len(raised.value.errors) == 1
+    assert raised.value.errors[0].startswith("constraint endpoint: TimePoint('ghost'")
 
 
 def test_makespan_shorthand_desugars_to_a_constraint():
@@ -998,6 +1012,9 @@ TIED = Trace(events=(
                              seed=2**70, feasible=True)))
 @example(TraceDocument(Trace(events=(ExecutionEvent("h", "p", "a", 0.0, math.inf),),
                              agents=("h",), seed=0, feasible=True)))
+# An agent id that is not a str cannot be escaped as a name: the dict form writes it.
+@example(TraceDocument(Trace(events=(ExecutionEvent(1, "p", "a", 0.0, 1.0),), agents=(1,),
+                             seed=0, feasible=True)))
 def test_trace_records_are_written_as_their_dict_form(doc):
     assert_written_as_its_dict_form(doc, trace_document)
 
@@ -1034,8 +1051,21 @@ def built_reports(draw):
     )
 
 
+#: A report whose first agent id is the int 1, which only the dict form can write.
+NUMBERED = FluencyReport(
+    agents=(1, "h"), window_start=0.0, window_end=1.0, makespan=1.0,
+    idle=tuple(IdleBreakdown(agent, IntervalSet(), IntervalSet(), IntervalSet())
+               for agent in (1, "h")),
+    concurrent_activity=IntervalSet.from_pairs([(0.0, 1.0)]),
+    concurrent_inactivity=IntervalSet(), sole_activity={1: IntervalSet(), "h": IntervalSet()},
+    petal_delays=(PetalDelay("p", "q", 1, 0.5),), delay_by_agent={1: 0.5, "h": 0.0},
+    handoffs=(),
+)
+
+
 @settings(max_examples=500, deadline=None)
 @given(built_reports())
+@example(NUMBERED)
 def test_built_reports_are_written_as_their_dict_form(report):
     assert_written_as_its_dict_form(report, report_document)
 

@@ -18,11 +18,16 @@ from madtn import packaged_example_path, run_cli
 REPORTS = Path(__file__).resolve().parent / "reports"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-CASES = [(packaged_example_path(), path, path.stem) for path in sorted(GOLDEN.glob("*.json"))]
+PACKAGING = sorted(GOLDEN.glob("packaging-*.json"))
+CASES = [(packaged_example_path(), path, path.stem) for path in PACKAGING]
 CASES += [
     (REPORTS / "lanes.daisy.json", REPORTS / f"{name}.trace.json", name)
     for name in ("signed-zero", "repeated-action")
 ]
+
+
+def test_every_recorded_packaging_trace_is_a_case():
+    assert len(PACKAGING) == 15
 
 
 def analyze(capsys, task, trace, mode):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import math
 import os
 import random
 import statistics
@@ -638,6 +639,19 @@ def test_profile_argument_validation():
         BehaviorProfile(mean_fraction=1.2)
     with pytest.raises(ValueError):
         BehaviorProfile(stddev_fraction=-0.5)
+
+
+@pytest.mark.parametrize("field", ["reaction_delay", "anticipation_offset", "stddev_fraction"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_profile_times_must_be_finite(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        BehaviorProfile(**{field: value})
+
+
+def test_a_negative_profile_time_keeps_its_message():
+    with pytest.raises(ValueError) as raised:
+        BehaviorProfile(reaction_delay=-0.5)
+    assert str(raised.value) == "reaction_delay must be >= 0, got -0.5"
 
 
 def test_events_must_run_forward():
