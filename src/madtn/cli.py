@@ -246,6 +246,7 @@ def _cmd_simulate(args) -> int:
     out_dir = Path(args.out if args.out is not None else os.environ.get(OUT_DIR_VAR, "."))
     reference = Path(args.task).name
     ordering = _chosen_ordering(args, doc)
+    wrote = []  # printed once every run has succeeded, so a failure prints nothing
     for i in range(args.runs):
         seed = args.seed + i
         trace = simulate(
@@ -257,7 +258,8 @@ def _cmd_simulate(args) -> int:
         )
         path = out_dir / f"trace-{seed}.json"
         files.save_document(files.TraceDocument(trace=trace, daisy=reference), path)
-        print(f"wrote {path}")
+        wrote.append(f"wrote {path}\n")
+    sys.stdout.write("".join(wrote))
     return 0
 
 

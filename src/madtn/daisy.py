@@ -562,8 +562,10 @@ def sequencing_constraint(
 
     This is what runs ``after`` as its agent's next petal once ``before`` is
     done; ``compile_to_stn`` adds one per consecutive pair of an agent's
-    petals, and ``enumerate_orders`` one per petal it places after another
-    of the same owner.
+    petals. ``enumerate_orders`` builds none: for each petal it places after
+    another of the same owner, it adds the one arc this constraint defines
+    with no gap, from ``after``'s first start back to ``before``'s last end
+    weighing -0.0.
     """
     return TemporalConstraint(before.last.end, after.first.start, gap, INF)
 

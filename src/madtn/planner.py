@@ -14,14 +14,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
-from .daisy import (
-    ConstraintKind,
-    Daisy,
-    Petal,
-    compile_to_stn,
-    find_cycle,
-    sequencing_constraint,
-)
+from .daisy import ConstraintKind, Daisy, compile_to_stn, find_cycle
 from .errors import CyclicPrecedenceError, NoCapableAgentError
 from .stn import UNASSIGNED, add_arc, fold_series, solve
 
@@ -155,16 +148,18 @@ def enumerate_orders(daisy: Daisy, limit: int | None = 1000) -> list[tuple[str, 
     action vertices become at most one arc each way between its ends, unless
     a constraint ties them to a third vertex. Distances between the kept
     vertices are those of the full network, so every verdict is too, and
-    each fall walks only the kept vertices. Each projection is checked once,
-    by adding its sequencing constraints to that folded network with
-    ``add_arc``: one arc for each petal placed after another petal of the
-    same owner. Every later candidate with the same projection takes the
-    saved verdict. Each owner keeps a stack of its placed petals and the
-    arcs they added. A new projection first pops every owner's stack back to
-    the prefix it shares with that owner's new sequence, and only then adds
-    the missing arcs, so no arc of an earlier projection is left to reject
-    it. A cyclic precedence raises ``CyclicPrecedenceError`` before anything
-    is compiled, and a limit of 0 or less compiles nothing.
+    each fall walks only the kept vertices. Each petal's two ends are
+    located in the folded network once per call. A candidate is keyed by
+    its projection, and each projection is checked once, by adding the arcs
+    of its sequencing constraints to that folded network with ``add_arc``:
+    one arc for each petal placed after another petal of the same owner.
+    Every later candidate with the same projection takes the saved verdict.
+    Each owner keeps a stack of its placed petals and the arcs they added.
+    A new projection first pops every owner's stack back to the prefix it
+    shares with that owner's new sequence, and only then adds the missing
+    arcs, so no arc of an earlier projection is left to reject it. A cyclic
+    precedence raises ``CyclicPrecedenceError`` before anything is compiled,
+    and a limit of 0 or less compiles nothing.
     """
     candidates = linear_extensions(partial_order(daisy))
     if limit is not None and limit <= 0:
@@ -172,44 +167,45 @@ def enumerate_orders(daisy: Daisy, limit: int | None = 1000) -> list[tuple[str, 
     graph = solve(compile_to_stn(daisy, sequenced=False))
     if not graph.consistent:
         return []
-    ends = {daisy.start, daisy.end}
-    for petal in daisy.petals:
-        ends.update((petal.first.start, petal.last.end))
-    arcs, potential, position = fold_series(
-        graph.arcs(), graph.potential, {graph.position(point) for point in ends}
-    )
-    owner_of = {petal.name: petal.owner for petal in daisy.petals}
-    # Per owner: each placed petal and the tail of the arc it added (-1 for
-    # none). A petal's first start is the tail of at most one sequencing
-    # arc, so ``arcs[tail].pop()`` takes back exactly that petal's arc.
-    stacks: dict[str, list[tuple[Petal, int]]] = {a.id: [] for a in daisy.agents}
+    ends = {
+        p.name: (graph.position(p.first.start), graph.position(p.last.end)) for p in daisy.petals
+    }
+    keep = {graph.position(daisy.start), graph.position(daisy.end)}.union(*ends.values())
+    arcs, potential, position = fold_series(graph.arcs(), graph.potential, keep)
+    # Each petal's first start and last end in the folded network.
+    first_at = {name: position[first] for name, (first, _) in ends.items()}
+    last_at = {name: position[last] for name, (_, last) in ends.items()}
+    # Per agent, in ``daisy.agents`` order: its petal names, and a stack of
+    # each placed petal and the tail of the arc it added (-1 for none). A
+    # petal's first start is the tail of at most one sequencing arc, so
+    # ``arcs[tail].pop()`` takes back exactly that petal's arc.
+    owned = [{p.name for p in daisy.petals if p.owner == a.id} for a in daisy.agents]
+    stacks: list[list[tuple[str, int]]] = [[] for _ in owned]
 
-    def check(sequences: dict[str, list[str]]) -> bool:
-        # Pop every owner back before adding any arc: an arc left from
-        # another owner's earlier sequence could reject a consistent order.
-        for owner, stack in stacks.items():
+    def check(projection: tuple[tuple[str, ...], ...]) -> bool:
+        # Pop every agent back before adding any arc: an arc left from
+        # another agent's earlier sequence could reject a consistent order.
+        for stack, sequence in zip(stacks, projection):
             shared = 0
-            for (petal, _), name in zip(stack, sequences[owner]):
-                if petal.name != name:
+            for (placed, _), name in zip(stack, sequence):
+                if placed != name:
                     break
                 shared += 1
             while len(stack) > shared:
                 tail = stack.pop()[1]
                 if tail >= 0:
                     arcs[tail].pop()  # removing an arc keeps the potential feasible
-        for owner, stack in stacks.items():
-            for name in sequences[owner][len(stack):]:
-                petal = daisy.petal(name)
+        for stack, sequence in zip(stacks, projection):
+            for name in sequence[len(stack):]:
                 tail = -1
                 if stack:
-                    # A lower bound with no upper one is the single arc
-                    # target -> source weighing -lower.
-                    c = sequencing_constraint(stack[-1][0], petal)
-                    tail = position[graph.position(c.target)]
-                    head = position[graph.position(c.source)]
-                    if not add_arc(arcs, potential, tail, head, -c.lower):
+                    # ``sequencing_constraint`` with no gap: [0, +inf) from the
+                    # earlier petal's last end to this one's first start, the
+                    # single arc back weighing -0.0.
+                    tail = first_at[name]
+                    if not add_arc(arcs, potential, tail, last_at[stack[-1][0]], -0.0):
                         return False
-                stack.append((petal, tail))
+                stack.append((name, tail))
         return True
 
     verdicts: dict[tuple[tuple[str, ...], ...], bool] = {}  # by projection
@@ -219,13 +215,10 @@ def enumerate_orders(daisy: Daisy, limit: int | None = 1000) -> list[tuple[str, 
         order = next(candidates, None)
         if order is None:
             break
-        sequences: dict[str, list[str]] = {owner: [] for owner in stacks}
-        for name in order:
-            sequences[owner_of[name]].append(name)
-        key = tuple(map(tuple, sequences.values()))
+        key = tuple(tuple(filter(names.__contains__, order)) for names in owned)
         verdict = verdicts.get(key)
         if verdict is None:
-            verdict = verdicts[key] = check(sequences)
+            verdict = verdicts[key] = check(key)
         if verdict:
             verified.append(order)
     return verified

@@ -213,6 +213,33 @@ def test_simulate_reports_a_time_that_overflows(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [task]  # no trace, no temporary file
 
 
+def test_a_failing_run_of_many_leaves_stdout_empty(tmp_path, capsys):
+    # h's two actions may each take up to 1.7e308 s; under uniform
+    # durations seed 4 draws two that end at infinity, after seeds 1 to 3
+    # have written their traces.
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps({
+        "agents": [{"id": "h"}, {"id": "r"}],
+        "petals": [
+            {"name": "P", "owner": "h", "actions": [
+                {"name": "a", "lower": 0.0, "upper": 1.7e308},
+                {"name": "b", "lower": 0.0, "upper": 1.7e308}]},
+            {"name": "Q", "owner": "r", "actions": [{"name": "c", "lower": 1, "upper": 2}]},
+        ],
+    }))
+    profiles = tmp_path / "profiles.json"
+    profiles.write_text(json.dumps({"h": {"duration_mode": "uniform"}}))
+    out_dir = tmp_path / "d"
+    out_dir.mkdir()
+    code, out, err = run(
+        capsys, "simulate", str(task), "--seed", "1", "--runs", "6",
+        "--profiles", str(profiles), "--out", str(out_dir),
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: events[2].end: inf is not a finite number\n"
+    assert sorted(p.name for p in out_dir.iterdir()) == [f"trace-{s}.json" for s in (1, 2, 3)]
+
+
 def test_analyze_reports_a_makespan_that_overflows(tmp_path, capsys):
     code, _, _ = run(capsys, "simulate", TASK, "--seed", "1", "--out", str(tmp_path))
     assert code == 0

@@ -433,6 +433,24 @@ def test_plan_orders_checks_each_projection_once(monkeypatch, seed):
     assert sum(calls.values()) <= 185  # 566 when one stack held every arc
 
 
+def test_plan_orders_builds_no_constraint_per_arc(monkeypatch):
+    # Sequencing arcs go straight onto the folded network, so the only
+    # constraints built are those of the one unsequenced compile.
+    daisy = lanes_daisy(7, per_lane=6)
+    compiled = len(compile_to_stn(daisy, sequenced=False).constraints)
+    built = 0
+    check_bounds = stn_module.TemporalConstraint.__post_init__
+
+    def counted(self):
+        nonlocal built
+        built += 1
+        check_bounds(self)
+
+    monkeypatch.setattr(stn_module.TemporalConstraint, "__post_init__", counted)
+    assert len(enumerate_orders(daisy, limit=100)) == 100
+    assert built == compiled == 115  # 300 when each of 185 arcs built one
+
+
 def test_precedence_cycles_are_raised_before_compile_errors():
     unowned = chained_daisy(lower=0.5)
     unowned = unowned.with_petals(

@@ -178,3 +178,12 @@ check 1 simulate "$task" --seed 7 --out "$out/blocked"
 grep -q "blocked/trace-7.json'" "$out/stderr" || { echo "simulate --out blocked: target not named"; exit 1; }
 if grep -q '\.tmp' "$out/stderr"; then echo "simulate --out blocked: names a temporary file"; exit 1; fi
 test "$(ls -A "$out/blocked")" = "trace-7.json" || { echo "simulate --out blocked: left a file behind"; exit 1; }
+# Seed 4 of six uniform runs draws two 1.7e308 s actions, which end at
+# infinity: stdout stays empty although seeds 1 to 3 wrote their traces.
+printf '%s\n' '{"agents":[{"id":"h"},{"id":"r"}],"petals":[{"name":"P","owner":"h","actions":[{"name":"a","lower":0.0,"upper":1.7e308},{"name":"b","lower":0.0,"upper":1.7e308}]},{"name":"Q","owner":"r","actions":[{"name":"c","lower":1,"upper":2}]}],"constraints":[]}' > "$out/huge.json"
+printf '%s\n' '{"h": {"duration_mode": "uniform"}}' > "$out/huge-profiles.json"
+mkdir "$out/huge-runs"
+check 1 simulate "$out/huge.json" --seed 1 --runs 6 --profiles "$out/huge-profiles.json" --out "$out/huge-runs"
+test ! -s "$out/stdout" || { echo "simulate huge.json --runs 6: printed to stdout"; exit 1; }
+grep -qF "events[2].end" "$out/stderr" || { echo "simulate huge.json --runs 6: events[2].end not named"; exit 1; }
+test "$(ls -A "$out/huge-runs" | tr '\n' ' ')" = "trace-1.json trace-2.json trace-3.json " || { echo "simulate huge.json --runs 6: expected trace-1.json to trace-3.json"; exit 1; }
