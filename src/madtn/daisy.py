@@ -159,6 +159,9 @@ class ExternalConstraint:
 #: Where an action vertex sits: its petal, its action, and "start" or "end".
 Located = tuple[Petal, Action, str]
 
+#: An external constraint with ``locate`` of its source and of its target.
+_Ends = tuple[ExternalConstraint, Located | None, Located | None]
+
 
 @dataclass(frozen=True, eq=False)
 class Daisy:
@@ -196,6 +199,12 @@ class Daisy:
                 vertices.setdefault(action.start, (petal, action, "start"))
                 vertices.setdefault(action.end, (petal, action, "end"))
         return vertices
+
+    @functools.cached_property
+    def _constraint_ends(self) -> tuple[_Ends, ...]:
+        """Each external constraint in order, with ``locate`` of its source and target."""
+        locate = self._vertices.get
+        return tuple((c, locate(c.source), locate(c.target)) for c in self.constraints)
 
     @functools.cached_property
     def _violations(self) -> tuple[str, ...]:
@@ -343,13 +352,14 @@ def _find_violations(daisy: Daisy) -> list[str]:
                 )
             seen_actions[id(action)] = petal.name
 
-    for c in daisy.constraints:
-        violations.extend(_constraint_violations(daisy, c))
+    for ends in daisy._constraint_ends:
+        violations.extend(_constraint_violations(daisy, ends))
 
     return violations
 
 
-def _constraint_violations(daisy: Daisy, c: ExternalConstraint) -> list[str]:
+def _constraint_violations(daisy: Daisy, ends: _Ends) -> list[str]:
+    c, source_at, target_at = ends
     out: list[str] = []
     label = f"{c.kind.value} constraint"
 
@@ -361,8 +371,6 @@ def _constraint_violations(daisy: Daisy, c: ExternalConstraint) -> list[str]:
     if c.lower == INF or c.upper == -INF:
         out.append(f"{label} bounds [{c.lower}, {c.upper}] admit no finite difference")
 
-    source_at = daisy.locate(c.source)
-    target_at = daisy.locate(c.target)
     for end_name, point, located in (
         ("source", c.source, source_at),
         ("target", c.target, target_at),
@@ -409,12 +417,8 @@ def validation_warnings(daisy: Daisy) -> list[str]:
     so petal-level delay readings blur.
     """
     warnings: list[str] = []
-    for c in daisy.constraints:
-        if c.kind is not ConstraintKind.HANDOFF:
-            continue
-        source_at = daisy.locate(c.source)
-        target_at = daisy.locate(c.target)
-        if source_at is None or target_at is None:
+    for c, source_at, target_at in daisy._constraint_ends:
+        if c.kind is not ConstraintKind.HANDOFF or source_at is None or target_at is None:
             continue  # validate_daisy reports unresolved endpoints
         source_petal, source_action, _ = source_at
         target_petal, target_action, _ = target_at
@@ -454,11 +458,9 @@ def handoff_constraints(daisy: Daisy) -> tuple[HandoffLink, ...]:
     ``InvalidDaisyError``.
     """
     links: list[HandoffLink] = []
-    for c in daisy.constraints:
+    for c, source_at, target_at in daisy._constraint_ends:
         if c.kind is not ConstraintKind.HANDOFF:
             continue
-        source_at = daisy.locate(c.source)
-        target_at = daisy.locate(c.target)
         if source_at is None or target_at is None:
             raise InvalidDaisyError(
                 ["handoff constraint endpoints do not resolve to action vertices"]

@@ -55,12 +55,8 @@ def partial_order(daisy: Daisy) -> PetalPrecedence:
     nothing.
     """
     edges: set[tuple[str, str]] = set()
-    for c in daisy.constraints:
-        source_at = daisy.locate(c.source)
-        target_at = daisy.locate(c.target)
-        if source_at is None or target_at is None:
-            continue
-        if source_at[0] is target_at[0]:
+    for c, source_at, target_at in daisy._constraint_ends:
+        if source_at is None or target_at is None or source_at[0] is target_at[0]:
             continue
         if c.kind is ConstraintKind.HANDOFF or c.lower > 0:
             edges.add((source_at[0].name, target_at[0].name))

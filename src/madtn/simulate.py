@@ -24,7 +24,7 @@ from enum import Enum
 from typing import Mapping, Sequence
 
 from .daisy import Action, ConstraintKind, Daisy, ExternalConstraint, Petal
-from .daisy import _transition, compile_to_stn, find_cycle
+from .daisy import _ordered_petals, _transition, compile_to_stn, find_cycle
 from .errors import (
     CoverageError,
     DeadlockError,
@@ -312,10 +312,9 @@ def _compiled(
     if entry is not None:
         return entry
     stn = compile_to_stn(daisy, ordering=key[0], transition_lower=transition_lower)
-    order = daisy.petals if key[0] is None else [daisy.petal(name) for name in key[0]]
     gates = _start_gates(daisy)
     plan: dict[str, list[_Step]] = {a.id: [] for a in daisy.agents}
-    for petal in order:
+    for petal in _ordered_petals(daisy, key[0]):
         steps = plan[petal.owner]
         switches = bool(steps)
         for action in petal.actions:
@@ -345,13 +344,10 @@ def _start_gates(daisy: Daisy) -> dict[Action, list[ExternalConstraint]]:
     a causal scheduler and are left to ``validate_trace`` instead.
     """
     out: dict[Action, list[ExternalConstraint]] = {}
-    for c in daisy.constraints:
-        if c.lower < 0:
+    for c, source_at, target_at in daisy._constraint_ends:
+        if c.lower < 0 or target_at is None or target_at[2] != "start":
             continue
-        target_at = daisy.locate(c.target)
-        if target_at is None or target_at[2] != "start":
-            continue
-        if c.source is daisy.start or daisy.locate(c.source) is not None:
+        if c.source is daisy.start or source_at is not None:
             out.setdefault(target_at[1], []).append(c)
     return out
 

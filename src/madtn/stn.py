@@ -49,9 +49,8 @@ falls that reach it, so the verdict on one can go either way.
 
 Networks are mutable while being built and are treated as read-only by
 every solving function, so a built network can be shared freely across
-threads. A solved ``DistanceGraph`` fills its row cache lazily; two
-threads asking for the same row may both compute it, but they store equal
-values, so a graph can be shared across threads too.
+threads. A solved ``DistanceGraph`` is read-only too, so it can be shared
+as well.
 """
 from __future__ import annotations
 
@@ -235,11 +234,10 @@ class STN:
 class DistanceGraph:
     """Tightest bounds ``d(i, j)`` on ``time(j) - time(i)``, answered on demand.
 
-    Built by ``solve``, which settles consistency. The first query about a
-    source runs one pass from it over the arcs, reweighted by
-    ``potential``, and caches the row. Distances exist only for a
-    consistent network; querying an inconsistent one raises
-    ``InconsistentNetworkError``.
+    Built by ``solve``, which settles consistency. Each query runs one pass
+    from its source over the arcs, reweighted by ``potential``. Distances
+    exist only for a consistent network; querying an inconsistent one
+    raises ``InconsistentNetworkError``.
 
     ``potential`` holds one label per point, indexed like ``points``, from
     the insertions that settled consistency: a feasible potential of the
@@ -258,7 +256,6 @@ class DistanceGraph:
         self.potential = potential
         self._index = index
         self._successors = successors
-        self._rows: dict[int, list[float]] = {}
 
     def position(self, point: TimePoint) -> int:
         """The index of ``point`` in ``points``, ``potential`` and ``arcs()``."""
@@ -277,15 +274,12 @@ class DistanceGraph:
 
     def _row(self, i: int) -> list[float]:
         """``d(i, j)`` for every ``j``, from one pass over the successor arcs."""
-        row = self._rows.get(i)
-        if row is None:
-            if not self.consistent:
-                raise InconsistentNetworkError("an inconsistent network has no distances")
-            row = [INF] * len(self.points)
-            fallen, _ = _fall(self._successors, self.potential, row, i, 0.0)
-            for j, label in fallen.items():
-                row[j] = label
-            self._rows[i] = row
+        if not self.consistent:
+            raise InconsistentNetworkError("an inconsistent network has no distances")
+        row = [INF] * len(self.points)
+        fallen, _ = _fall(self._successors, self.potential, row, i, 0.0)
+        for j, label in fallen.items():
+            row[j] = label
         return row
 
     def distance(self, source: TimePoint, target: TimePoint) -> float:

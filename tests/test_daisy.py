@@ -26,12 +26,15 @@ from madtn import (
     enumerate_orders,
     fluency_report,
     handoff_constraints,
+    partial_order,
     simulate,
     solve,
     validate_daisy,
     validate_trace,
     validation_warnings,
 )
+from madtn.simulate import _start_gates
+from madtn.stn import TimePoint
 from conftest import stn_as_tuples
 from oracles import brute_difference_bounds
 
@@ -186,6 +189,34 @@ def test_constraint_endpoints_must_belong_to_the_task():
         ),
     )
     assert any("is not a vertex of this task" in v for v in validate_daisy(daisy))
+
+
+def test_unresolved_and_global_constraint_ends_reach_only_their_own_rules():
+    # A handoff from a point of no action, and a release from Vs into the
+    # first action of a petal.
+    stray, start = TimePoint("stray"), TimePoint("task.start")
+    give = build_action("give", 1.0)
+    take, put = build_action("take", 1.0), build_action("put", 1.0)
+    handoff = ExternalConstraint(ConstraintKind.HANDOFF, stray, take.start, 0.0, INF)
+    release = ExternalConstraint(ConstraintKind.OTHER, start, take.start, 1.0, INF)
+    daisy = Daisy(
+        agents=(Agent("x"), Agent("y")),
+        petals=(build_petal("p", [give], owner="x"), build_petal("q", [take, put], owner="y")),
+        constraints=(handoff, release),
+        start=start,
+    )
+    assert validate_daisy(daisy) == [
+        f"handoff constraint source {stray!r} is not a vertex of this task"
+    ]
+    assert validation_warnings(daisy) == []
+    assert partial_order(daisy).edges == frozenset()
+    with pytest.raises(
+        InvalidDaisyError, match="handoff constraint endpoints do not resolve to action vertices"
+    ):
+        handoff_constraints(daisy)
+    gates = _start_gates(daisy)
+    assert list(gates) == [take]
+    assert gates[take] == [release]
 
 
 def test_handoff_links_resolve_petals_and_actions():
