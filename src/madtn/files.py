@@ -27,7 +27,7 @@ import math
 import os
 import tempfile
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -457,19 +457,14 @@ def parse_profiles(source: str | Mapping[str, Any]) -> dict[str, BehaviorProfile
     errors: list[str] = []
     profiles: dict[str, BehaviorProfile] = {}
     modes = {m.value for m in DurationMode}
+    numeric = [f.name for f in fields(BehaviorProfile) if f.name != "duration_mode"]
     for agent_id, raw in data.items():
         path = f"{agent_id}"
         if not _is_object(raw):
             errors.append(f"{path}: expected a profile object")
             continue
-        _reject_unknown(
-            raw,
-            {"duration_mode", "reaction_delay", "anticipation_probability",
-             "anticipation_offset", "mean_fraction", "stddev_fraction"},
-            path,
-            errors,
-        )
-        fields: dict[str, Any] = {}
+        _reject_unknown(raw, {"duration_mode", *numeric}, path, errors)
+        values: dict[str, Any] = {}
         mode = raw.get("duration_mode")
         if mode is not None:
             if not isinstance(mode, str) or mode not in modes:
@@ -478,16 +473,15 @@ def parse_profiles(source: str | Mapping[str, Any]) -> dict[str, BehaviorProfile
                     f"got {mode!r}"
                 )
             else:
-                fields["duration_mode"] = DurationMode(mode)
-        for key in ("reaction_delay", "anticipation_probability",
-                    "anticipation_offset", "mean_fraction", "stddev_fraction"):
+                values["duration_mode"] = DurationMode(mode)
+        for key in numeric:
             if key in raw:
                 if not _is_number(raw[key]):
                     errors.append(f"{path}.{key}: expected a finite number, got {raw[key]!r}")
                 else:
-                    fields[key] = float(raw[key])
+                    values[key] = float(raw[key])
         try:
-            profiles[agent_id] = BehaviorProfile(**fields)
+            profiles[agent_id] = BehaviorProfile(**values)
         except ValueError as exc:
             errors.append(f"{path}: {exc}")
     if errors:

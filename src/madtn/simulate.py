@@ -70,16 +70,9 @@ class BehaviorProfile:
     def __post_init__(self):
         object.__setattr__(self, "duration_mode", DurationMode(self.duration_mode))
         _check_non_negative("reaction_delay", self.reaction_delay)
-        if not 0.0 <= self.anticipation_probability <= 1.0:
-            raise ValueError(
-                "anticipation_probability must be in [0, 1], got "
-                f"{self.anticipation_probability}"
-            )
+        _check_fraction("anticipation_probability", self.anticipation_probability)
         _check_non_negative("anticipation_offset", self.anticipation_offset)
-        if not 0.0 <= self.mean_fraction <= 1.0:
-            raise ValueError(
-                f"mean_fraction must be in [0, 1], got {self.mean_fraction}"
-            )
+        _check_fraction("mean_fraction", self.mean_fraction)
         _check_non_negative("stddev_fraction", self.stddev_fraction)
 
 
@@ -89,6 +82,12 @@ def _check_non_negative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be >= 0, got {value}")
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _check_fraction(name: str, value: float) -> None:
+    """Refuse a profile field that is not a number in ``[0, 1]``."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
 @dataclass(frozen=True, init=False)
@@ -219,7 +218,6 @@ def simulate(
         for agent_id, steps, gap, profile, rng in lanes:
             probability = profile.anticipation_probability
             offset, delay = profile.anticipation_offset, profile.reaction_delay
-            punctual = profile.duration_mode is DurationMode.LOWER_BOUND
             first = i = done[agent_id]
             free = free_at[agent_id]
             while i < len(steps):
@@ -246,9 +244,7 @@ def simulate(
                         enabled = ready
                 start = enabled + (rng.uniform(0.0, delay) if delay > 0 else 0.0)
                 times[action.start] = start
-                free = times[action.end] = start + (
-                    action.lower if punctual else _draw_duration(action, profile, rng)
-                )
+                free = times[action.end] = start + _draw_duration(action, profile, rng)
                 events.append(ExecutionEvent(agent_id, petal.name, action.name, start, free))
                 i += 1
             if i != first:

@@ -276,11 +276,7 @@ class DistanceGraph:
         """``d(i, j)`` for every ``j``, from one pass over the successor arcs."""
         if not self.consistent:
             raise InconsistentNetworkError("an inconsistent network has no distances")
-        row = [INF] * len(self.points)
-        fallen, _ = _fall(self._successors, self.potential, row, i, 0.0)
-        for j, label in fallen.items():
-            row[j] = label
-        return row
+        return _labels(self._successors, self.potential, i)
 
     def distance(self, source: TimePoint, target: TimePoint) -> float:
         return self._row(self.position(source))[self.position(target)]
@@ -525,6 +521,15 @@ def _fall(
     return lowered, settled
 
 
+def _labels(arcs: list[list[tuple[int, float]]], potential: list[float],
+            source: int) -> list[float]:
+    """The shortest path sum from ``source`` to every vertex over ``arcs``."""
+    row = [INF] * len(potential)
+    for v, label in _fall(arcs, potential, row, source, 0.0)[0].items():
+        row[v] = label
+    return row
+
+
 def minimal_network(stn: STN) -> STN:
     """Rebuild the network with the tightest implied bounds made explicit.
 
@@ -557,23 +562,17 @@ def earliest_schedule(stn: STN) -> Schedule:
     """Schedule every timepoint at its minimum feasible time, anchor at 0."""
     if len(stn) == 0:
         return {}
-    if stn.anchor is None:
-        raise MissingTimePointError("network has no anchor timepoint")
     graph = solve(stn)
     if not graph.consistent:
         raise InconsistentNetworkError("inconsistent network has no schedule")
     # d(i, anchor) for every i: one pass from the anchor over reversed arcs,
     # whose reduced costs under the negated potential are the forward ones.
-    to_anchor = [INF] * len(graph.points)
-    predecessors: list[list[tuple[int, float]]] = [[] for _ in to_anchor]
+    predecessors: list[list[tuple[int, float]]] = [[] for _ in graph.points]
     for tail, out in enumerate(graph._successors):
         for head, weight in out:
             predecessors[head].append((tail, weight))
     reversed_potential = [-label for label in graph.potential]
-    anchor = graph.position(stn.anchor)
-    fallen, _ = _fall(predecessors, reversed_potential, to_anchor, anchor, 0.0)
-    for i, label in fallen.items():
-        to_anchor[i] = label
+    to_anchor = _labels(predecessors, reversed_potential, graph.position(stn.anchor))
     schedule: Schedule = {}
     for point, distance_to_anchor in zip(graph.points, to_anchor):
         if distance_to_anchor == INF:

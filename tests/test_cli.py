@@ -92,6 +92,28 @@ def test_validate_warns_about_mid_petal_handoffs(tmp_path, capsys):
     assert "mid-petal" in err
 
 
+def test_validate_warns_about_handoffs_into_mid_petal_actions(tmp_path, capsys):
+    doc = {
+        "agents": [{"id": "x"}, {"id": "y"}],
+        "petals": [
+            {"name": "supply", "owner": "x",
+             "actions": [{"name": "fetch", "lower": 1.0, "upper": 2.0}]},
+            {"name": "consume", "owner": "y",
+             "actions": [{"name": "clear", "lower": 1.0, "upper": 2.0},
+                         {"name": "use", "lower": 1.0, "upper": 3.0}]},
+        ],
+        "constraints": [{"kind": "handoff", "source": "supply.fetch.end",
+                         "target": "consume.use.start", "lower": 0.0, "upper": None}],
+    }
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "validate", str(path)) == (
+        0, "ok\n",
+        "warning: handoff enters petal 'consume' at mid-petal action 'use'; "
+        "delay readings at petal granularity will blur\n",
+    )
+
+
 PETALS = [p["name"] for p in json.loads(packaged_example_path().read_text())["petals"]]
 
 

@@ -102,6 +102,38 @@ def test_validation_catches_naming_and_ownership_problems():
     assert any("dot-free" in v for v in violations)
 
 
+def one_petal_daisy(agent="x", petal="p", bounds=None, makespan=None):
+    """One agent's one-action petal, with an optional ``other`` constraint
+    across the action and an optional makespan."""
+    action = build_action("a", 1.0)
+    daisy = Daisy(agents=(Agent(agent),), petals=(build_petal(petal, [action], owner=agent),))
+    constraints = []
+    if bounds is not None:
+        constraints.append(
+            ExternalConstraint(ConstraintKind.OTHER, action.start, action.end, *bounds)
+        )
+    if makespan is not None:
+        constraints.append(
+            ExternalConstraint(ConstraintKind.MAKESPAN, daisy.start, daisy.end, *makespan)
+        )
+    return Daisy(daisy.agents, daisy.petals, tuple(constraints),
+                 start=daisy.start, end=daisy.end)
+
+
+@pytest.mark.parametrize("daisy, expected", [
+    (one_petal_daisy(agent="x.y"), "agent id 'x.y' must be non-empty and dot-free"),
+    (one_petal_daisy(petal="p.q"), "petal name 'p.q' must be non-empty and dot-free"),
+    (one_petal_daisy(bounds=(5.0, 3.0)), "other constraint bounds [5.0, 3.0] are inverted"),
+    (one_petal_daisy(makespan=(-1.0, 9.0)),
+     "makespan constraint lower bound must be non-negative, got -1.0"),
+    (one_petal_daisy(bounds=(float("nan"), 3.0)), "other constraint has NaN bounds"),
+    (one_petal_daisy(bounds=(INF, INF)),
+     "other constraint bounds [inf, inf] admit no finite difference"),
+])
+def test_validation_names_each_broken_model_rule(daisy, expected):
+    assert expected in validate_daisy(daisy)
+
+
 def test_validation_catches_shared_and_duplicate_actions():
     action = build_action("shared", 1.0)
     daisy = Daisy(

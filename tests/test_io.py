@@ -275,6 +275,34 @@ def test_unassigned_owner_round_trips_as_null():
     assert daisy_document(parsed)["petals"][0]["owner"] is None
 
 
+@pytest.mark.parametrize("parse, document, expected", [
+    (parse_trace, {"agents": ["a"], "events": [], "feasible": "yes"},
+     "feasible: expected true or false, got 'yes'"),
+    (parse_daisy, replaced(tiny_doc(), ["makespan"], [1.0]),
+     "makespan: expected a [lower, upper] pair"),
+    (parse_daisy, replaced(tiny_doc(), ["comments"], 7), "comments: expected a string, got 7"),
+    (parse_daisy, replaced(tiny_doc(), ["agents", 1], "y"), "agents[1]: expected an object"),
+    (parse_daisy, replaced(tiny_doc(), ["petals", 0, "tags"], "box"),
+     "petals[0].tags: expected a list of strings"),
+    (parse_daisy, replaced(tiny_doc(), ["constraints"], {}),
+     "constraints: expected a list of constraint objects"),
+    (parse_daisy, replaced(tiny_doc(), ["capabilities"], {"x": 0.5}),
+     "capabilities.x: expected an object keyed by petal name"),
+    (parse_daisy, replaced(tiny_doc(), ["ordering"], "supply"),
+     "ordering: expected a list of petal names"),
+])
+def test_document_shape_errors_name_their_path(parse, document, expected):
+    with pytest.raises(DocumentError) as excinfo:
+        parse(document)
+    assert expected in excinfo.value.errors
+
+
+def test_canonical_form_writes_the_ordering_back():
+    parsed = parse_daisy(tiny_doc(ordering=["consume", "supply"]))
+    assert daisy_document(parsed)["ordering"] == ["consume", "supply"]
+    assert "ordering" not in daisy_document(parse_daisy(tiny_doc()))
+
+
 def test_trace_round_trip_is_exact(packaging):
     trace = simulate(
         packaging.daisy,
