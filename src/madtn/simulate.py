@@ -413,11 +413,11 @@ def _waiting_cycle(
             out.append(predecessor[action])
         return out
 
+    # Every pending action waits on another pending action, either its
+    # agent's previous action or a gate source that has not run, so the
+    # search always closes a loop.
     cycle = find_cycle(pending, waits_on)
-    if cycle is not None:
-        return [f"{pending[a].name}.{a.name}" for a in cycle]
-    # No cycle among gates: some wait references work that never runs.
-    return sorted(f"{petal.name}.{action.name}" for action, petal in pending.items())
+    return [f"{pending[a].name}.{a.name}" for a in cycle]
 
 
 def validate_trace(

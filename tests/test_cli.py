@@ -662,6 +662,88 @@ def test_commands_end_on_a_ring_just_below_zero(tmp_path, capsys):
         assert "consistent: yes" in out.splitlines(), (order, out, err)
 
 
+@pytest.mark.parametrize("argv, status, last_line", [
+    (["validate", "missing.json"], 1, "error: "),
+    (["simulate", TASK], 2, "madtn simulate: error: the following arguments are required"),
+], ids=["domain failure", "usage"])
+def test_a_madtn_process_exits_with_the_status_of_its_failure(tmp_path, argv, status, last_line):
+    src = str(Path(madtn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "madtn", *argv], capture_output=True,
+                          text=True, cwd=tmp_path, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (status, "")
+    assert "Traceback" not in done.stderr
+    assert done.stderr.splitlines()[-1].startswith(last_line)
+
+
+#: Two lanes, R0 -> H0 and H1 -> R1, under a 2 s cap: each agent can run its
+#: petals in one order only, so plan prints four of the six linear extensions.
+LANES = Path(__file__).resolve().parent / "reports" / "lanes.daisy.json"
+
+
+def test_every_order_plan_prints_for_two_lanes_compiles(capsys):
+    code, out, err = run(capsys, "plan", str(LANES))
+    assert (code, err) == (0, "")
+    orders = out.splitlines()
+    assert orders == ["R0, H1, H0, R1", "R0, H1, R1, H0", "H1, R0, H0, R1", "H1, R0, R1, H0"]
+    for order in orders:
+        code, out, err = run(capsys, "compile", str(LANES), "--ordering", order.replace(" ", ""))
+        assert (code, err) == (0, "")
+        assert "consistent: yes" in out.splitlines(), order
+
+
+#: Agent, petal and action names with non-ASCII letters, a quote and a backslash.
+NAMES_TASK = {
+    "agents": [{"id": 'hümä"n\\'}, {"id": "rø\\bot"}],
+    "petals": [
+        {"name": 'Pé"tal\\1', "owner": 'hümä"n\\', "actions": [
+            {"name": 'añ"a', "lower": 1, "upper": 2}, {"name": "b\\ü", "lower": 1, "upper": 2}]},
+        {"name": "Rø\\2", "owner": "rø\\bot", "actions": [{"name": 'ç"c', "lower": 1, "upper": 2}]},
+    ],
+    "constraints": [{"kind": "handoff", "source": 'Pé"tal\\1.b\\ü.end',
+                     "target": 'Rø\\2.ç"c.start', "lower": 0, "upper": None}],
+}
+
+
+@pytest.mark.parametrize("task, profiles, options, seed, runs", [
+    (json.loads(packaged_example_path().read_text()),
+     {"human": {"duration_mode": "uniform", "reaction_delay": 0.5},
+      "robot": {"duration_mode": "truncated_normal"}}, [], 7, 3),
+    (json.loads(LANES.read_text()),
+     {"human": {"duration_mode": "uniform", "reaction_delay": 0.25,
+                "anticipation_probability": 0.5, "anticipation_offset": 0.5},
+      "robot": {"duration_mode": "truncated_normal", "anticipation_probability": 1.0,
+                "anticipation_offset": 0.25}},
+     ["--ordering", "H1,R1,H0,R0", "--transition", "0.5"], 3, 3),
+    (NAMES_TASK, None, [], 11, 2),
+], ids=["packaged", "lanes", "escaped names"])
+def test_each_of_many_runs_writes_what_a_run_of_its_own_writes(
+    tmp_path, capsys, task, profiles, options, seed, runs
+):
+    task_file = tmp_path / "task.json"
+    task_file.write_text(json.dumps(task))
+    if profiles is not None:
+        (tmp_path / "profiles.json").write_text(json.dumps(profiles))
+        options = [*options, "--profiles", str(tmp_path / "profiles.json")]
+    together, alone = tmp_path / "together", tmp_path / "alone"
+    together.mkdir()
+    alone.mkdir()
+    simulate_argv = ["simulate", str(task_file), *options]
+    code, _, err = run(capsys, *simulate_argv, "--seed", str(seed), "--runs", str(runs),
+                       "--out", str(together))
+    assert (code, err) == (0, "")
+    for run_seed in range(seed, seed + runs):
+        assert run(capsys, *simulate_argv, "--seed", str(run_seed), "--out", str(alone))[0] == 0
+        name = f"trace-{run_seed}.json"
+        trace_text = (together / name).read_text(encoding="utf-8")
+        assert trace_text == (alone / name).read_text(encoding="utf-8"), name
+        code, report_text, err = run(capsys, "analyze", str(task_file), str(together / name))
+        assert (code, err) == (0, "")
+        # Both are the bytes json.dumps(indent=2) writes, names escaped to ASCII.
+        for text in (trace_text, report_text):
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
 @pytest.mark.parametrize("blocked", ["missing directory", "regular file"])
 def test_out_errors_name_the_directory(tmp_path, capsys, blocked):
     out_dir = tmp_path / "out"

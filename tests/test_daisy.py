@@ -251,6 +251,17 @@ def test_unresolved_and_global_constraint_ends_reach_only_their_own_rules():
     assert gates[take] == [release]
 
 
+def test_an_unknown_petal_name_is_a_key_error_naming_it():
+    with pytest.raises(KeyError) as excinfo:
+        two_petal_daisy().petal("nope")
+    assert excinfo.value.args == ("no petal named 'nope'",)
+
+
+def test_a_constraint_kind_may_be_given_by_its_value():
+    a, b = TimePoint("a"), TimePoint("b")
+    assert ExternalConstraint("handoff", a, b, 0.0).kind is ConstraintKind.HANDOFF
+
+
 def test_handoff_links_resolve_petals_and_actions():
     daisy = two_petal_daisy()
     (link,) = handoff_constraints(daisy)

@@ -1,4 +1,5 @@
-"""The demos print exactly their recorded output.
+"""The demos print exactly their recorded output, and README's Quick start
+prints what its comments say.
 
 Each demo runs in a fresh interpreter with ``src`` on the path, and its
 stdout must match ``demos/expected/<demo>.txt`` byte for byte. After an
@@ -7,7 +8,10 @@ intended change to a demo's output, regenerate the file with
 """
 from __future__ import annotations
 
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,3 +43,14 @@ def test_demo_prints_its_recorded_output(demo):
     )
     expected = (ROOT / "demos" / "expected" / f"{demo.stem}.txt").read_bytes()
     assert done.stdout == expected
+
+
+def test_the_quick_start_prints_the_figures_its_comments_state():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
+    stated = re.findall(r"^print\(.*\)\s+# ([0-9.]+) ", block, re.M)
+    assert stated == ["7.5", "2.4"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert out.getvalue().splitlines()[:2] == stated

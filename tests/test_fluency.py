@@ -700,7 +700,7 @@ def api_trace(rows, start_time=0.0):
 
 @settings(max_examples=1000, deadline=None)
 @given(sweep_traces())
-@example(api_trace([  # the CLI smoke trace: concurrent activity starts at -0.0
+@example(api_trace([  # the signed-zero trace of tests/reports: concurrent activity starts at -0.0
     ("b", "R0", "a", 0.0, 1.0), ("a", "H1", "a", -0.0, 1.5),
     ("a", "H0", "a", 1.0, 2.0), ("b", "R1", "a", 1.5, 2.5),
 ]))

@@ -40,6 +40,12 @@ def test_difference_can_split_an_interval():
     assert (a - b).intervals == ((0.0, 2.0), (3.0, 5.0), (6.0, 10.0))
 
 
+def test_repr_lists_half_open_intervals():
+    spans = IntervalSet.from_pairs([(2.0, 3.0), (0.0, 1.5)])
+    assert repr(spans) == "IntervalSet([0.0, 1.5), [2.0, 3.0))"
+    assert repr(IntervalSet.empty()) == "IntervalSet()"
+
+
 def test_empty_set_behavior():
     empty = IntervalSet.empty()
     full = IntervalSet.single(0.0, 1.0)

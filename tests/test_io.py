@@ -290,6 +290,8 @@ def test_unassigned_owner_round_trips_as_null():
      "capabilities.x: expected an object keyed by petal name"),
     (parse_daisy, replaced(tiny_doc(), ["ordering"], "supply"),
      "ordering: expected a list of petal names"),
+    (parse_daisy, replaced(tiny_doc(), ["agents", 0, "name"], 5),
+     "agents[0].name: expected a string, got 5"),
 ])
 def test_document_shape_errors_name_their_path(parse, document, expected):
     with pytest.raises(DocumentError) as excinfo:
@@ -1043,6 +1045,9 @@ TIED = Trace(events=(
 # An agent id that is not a str cannot be escaped as a name: the dict form writes it.
 @example(TraceDocument(Trace(events=(ExecutionEvent(1, "p", "a", 0.0, 1.0),), agents=(1,),
                              seed=0, feasible=True)))
+# An int past the largest float has no finite float value: the dict form writes it.
+@example(TraceDocument(Trace(events=(), agents=("h",), seed=0, feasible=True,
+                             start_time=10**400)))
 def test_trace_records_are_written_as_their_dict_form(doc):
     assert_written_as_its_dict_form(doc, trace_document)
 
@@ -1096,6 +1101,14 @@ NUMBERED = FluencyReport(
 @example(NUMBERED)
 def test_built_reports_are_written_as_their_dict_form(report):
     assert_written_as_its_dict_form(report, report_document)
+
+
+def test_a_report_whose_interval_measure_overflows_names_the_figure(packaging):
+    report = fluency_report(packaging.daisy, simulate(packaging.daisy))
+    report = replace(report, concurrent_activity=IntervalSet.from_pairs([(-1.7e308, 1.7e308)]))
+    with pytest.raises(DocumentError) as excinfo:
+        dump_document(report)
+    assert str(excinfo.value) == "concurrent_activity.seconds: inf is not a finite number"
 
 
 @settings(max_examples=500, deadline=None)

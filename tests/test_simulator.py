@@ -683,6 +683,22 @@ def test_a_bell_far_wider_than_its_bounds_still_draws_inside_them(tmp_path):
         assert lower - 1e-9 <= event.end - event.start <= upper + 1e-9
 
 
+def test_a_bell_flat_over_the_bounds_draws_uniformly_inside_them():
+    # With a standard deviation of 1e300 s both bounds of [1, 2] sit at the
+    # bell's middle, where its CDF reads 0.5 at float precision.
+    module = importlib.import_module("madtn.simulate")
+    profile = BehaviorProfile(duration_mode="truncated_normal", stddev_fraction=1e300)
+
+    def draws():
+        rng = random.Random(5)
+        return [module._draw_duration(Action("a", 1.0, 2.0), profile, rng) for _ in range(40)]
+
+    first = draws()
+    assert draws() == first
+    assert all(1.0 <= d <= 2.0 for d in first)
+    assert min(first) < 1.25 and max(first) > 1.75  # spread, not the mean alone
+
+
 @pytest.mark.parametrize("redraws", [0, 100])
 def test_truncated_normal_draws_have_the_truncated_mean(monkeypatch, redraws):
     # With no redraws every duration comes from the inverse-CDF fallback.

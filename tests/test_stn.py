@@ -75,6 +75,13 @@ def test_timepoints_are_identities_not_labels():
     assert len(stn) == 2
 
 
+def test_a_network_contains_only_its_own_points():
+    stn = STN()
+    a = stn.add_timepoint("a")
+    assert a in stn
+    assert TimePoint("a") not in stn
+
+
 def test_membership_is_enforced():
     stn = STN()
     a = stn.add_timepoint("a")
