@@ -26,11 +26,12 @@ import json
 import math
 import os
 import tempfile
-from collections.abc import Mapping
+from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
 from typing import Any
 
@@ -177,16 +178,49 @@ def daisy_document(doc: DaisySpecDocument) -> dict[str, Any]:
     return out
 
 
+# The trace and report layouts: each record kind's keys, in the order its
+# object lists them, and the row of its values. The dict forms and the record
+# writers read the same keys and rows.
+
+_EVENT_KEYS = ("agent", "petal", "action", "start", "end")
+_event_row = attrgetter(*_EVENT_KEYS)
+_TRACE_KEYS = ("daisy", "agents", "seed", "feasible", "start_time", "events", "comments")
+_WINDOW_KEYS = ("start", "end", "makespan")
+_window_row = attrgetter("window_start", "window_end", "makespan")
+_IDLE_KEYS = ("total", "waiting", "resting")
+_idle_row = attrgetter("total", "waiting_time", "resting_time")
+_DELAY_KEYS = ("source_petal", "target_petal", "agent", "delay")
+_delay_row = attrgetter(*_DELAY_KEYS)
+_HANDOFF_KEYS = ("source", "source_agent", "target", "target_agent", "product_available",
+                 "receiver_ready", "receipt_start", "readiness_delay", "functional_delay", "state")
+_ENTRY_KEYS = ("seconds", "fraction", "intervals")
+_REPORT_KEYS = ("agents", "window", "idle", "concurrent_activity", "concurrent_inactivity",
+                "sole_activity", "petal_delays", "delay_by_agent", "handoffs")
+
+
+def _handoff_row(h: HandoffDelays) -> tuple[Any, ...]:
+    """A handoff's values: each end as ``petal.action``, and the state's value."""
+    return (f"{h.source_petal}.{h.source_action}", h.source_agent,
+            f"{h.target_petal}.{h.target_action}", h.target_agent, h.product_available,
+            h.receiver_ready, h.receipt_start, h.readiness_delay, h.functional_delay, h.state.value)
+
+
+def _entry_row(report: FluencyReport, spans: IntervalSet) -> tuple[Any, Any, IntervalSet]:
+    """An interval entry's values: the measure, its share of the makespan, the spans."""
+    seconds = spans.measure
+    return seconds, report.fraction_of_makespan(seconds), spans
+
+
+def _kept(doc: TraceDocument) -> slice:
+    """The part of the trace keys a document writes: ``daisy`` and ``comments`` only if given."""
+    return slice(doc.daisy is None, len(_TRACE_KEYS) - (doc.comments is None))
+
+
 def parse_trace(source: str | Mapping[str, Any]) -> TraceDocument:
     """Parse a trace document from JSON text or a decoded mapping."""
     data = _decode(source)
     errors: list[str] = []
-    _reject_unknown(
-        data,
-        {"daisy", "agents", "seed", "feasible", "start_time", "events", "comments"},
-        "",
-        errors,
-    )
+    _reject_unknown(data, {*_TRACE_KEYS}, "", errors)
 
     daisy_ref = data.get("daisy")
     if daisy_ref is not None and (not isinstance(daisy_ref, str) or not daisy_ref):
@@ -280,27 +314,11 @@ def parse_trace(source: str | Mapping[str, Any]) -> TraceDocument:
 
 def trace_document(doc: TraceDocument) -> dict[str, Any]:
     """The canonical JSON-ready form of a trace document."""
-    trace = doc.trace
-    out: dict[str, Any] = {}
-    if doc.daisy is not None:
-        out["daisy"] = doc.daisy
-    out["agents"] = list(trace.agents)
-    out["seed"] = trace.seed
-    out["feasible"] = trace.feasible
-    out["start_time"] = trace.start_time
-    out["events"] = [
-        {
-            "agent": e.agent,
-            "petal": e.petal,
-            "action": e.action,
-            "start": e.start,
-            "end": e.end,
-        }
-        for e in _in_order(trace.events)
-    ]
-    if doc.comments is not None:
-        out["comments"] = doc.comments
-    return out
+    trace, kept = doc.trace, _kept(doc)
+    values = (doc.daisy, list(trace.agents), trace.seed, trace.feasible, trace.start_time,
+              [dict(zip(_EVENT_KEYS, _event_row(e))) for e in _in_order(trace.events)],
+              doc.comments)
+    return dict(zip(_TRACE_KEYS[kept], values[kept]))
 
 
 def _in_order(events: tuple[ExecutionEvent, ...]) -> list[ExecutionEvent]:
@@ -310,62 +328,22 @@ def _in_order(events: tuple[ExecutionEvent, ...]) -> list[ExecutionEvent]:
 
 def report_document(report: FluencyReport) -> dict[str, Any]:
     """The JSON-ready form of a fluency report, keys in a stable order."""
-    return {
-        "agents": list(report.agents),
-        "window": {
-            "start": report.window_start,
-            "end": report.window_end,
-            "makespan": report.makespan,
-        },
-        "idle": {
-            b.agent: {
-                "total": b.total,
-                "waiting": b.waiting_time,
-                "resting": b.resting_time,
-            }
-            for b in report.idle
-        },
-        "concurrent_activity": _interval_entry(report, report.concurrent_activity),
-        "concurrent_inactivity": _interval_entry(report, report.concurrent_inactivity),
-        "sole_activity": {
-            agent: _interval_entry(report, spans)
-            for agent, spans in report.sole_activity.items()
-        },
-        "petal_delays": [
-            {
-                "source_petal": d.source_petal,
-                "target_petal": d.target_petal,
-                "agent": d.agent,
-                "delay": d.delay,
-            }
-            for d in report.petal_delays
-        ],
-        "delay_by_agent": {a: report.delay_by_agent[a] for a in report.agents},
-        "handoffs": [
-            {
-                "source": f"{h.source_petal}.{h.source_action}",
-                "source_agent": h.source_agent,
-                "target": f"{h.target_petal}.{h.target_action}",
-                "target_agent": h.target_agent,
-                "product_available": h.product_available,
-                "receiver_ready": h.receiver_ready,
-                "receipt_start": h.receipt_start,
-                "readiness_delay": h.readiness_delay,
-                "functional_delay": h.functional_delay,
-                "state": h.state.value,
-            }
-            for h in report.handoffs
-        ],
-    }
+    return dict(zip(_REPORT_KEYS, (
+        list(report.agents),
+        dict(zip(_WINDOW_KEYS, _window_row(report))),
+        {b.agent: dict(zip(_IDLE_KEYS, _idle_row(b))) for b in report.idle},
+        _interval_entry(report, report.concurrent_activity),
+        _interval_entry(report, report.concurrent_inactivity),
+        {agent: _interval_entry(report, spans) for agent, spans in report.sole_activity.items()},
+        [dict(zip(_DELAY_KEYS, _delay_row(d))) for d in report.petal_delays],
+        {a: report.delay_by_agent[a] for a in report.agents},
+        [dict(zip(_HANDOFF_KEYS, _handoff_row(h))) for h in report.handoffs],
+    )))
 
 
 def _interval_entry(report: FluencyReport, spans: IntervalSet) -> dict[str, Any]:
-    seconds = spans.measure
-    return {
-        "seconds": seconds,
-        "fraction": report.fraction_of_makespan(seconds),
-        "intervals": [[s, e] for s, e in spans],
-    }
+    seconds, fraction, spans = _entry_row(report, spans)
+    return dict(zip(_ENTRY_KEYS, (seconds, fraction, [[s, e] for s, e in spans])))
 
 
 def dump_document(document: dict[str, Any] | TraceDocument | FluencyReport) -> str:
@@ -373,15 +351,19 @@ def dump_document(document: dict[str, Any] | TraceDocument | FluencyReport) -> s
 
     For a dict the text is ``json.dumps(document, indent=2,
     allow_nan=False)`` plus a newline. A non-finite float raises
-    ``DocumentError`` naming its path.
+    ``DocumentError`` naming its path. A document that contains itself
+    raises the ``ValueError`` of ``json.dumps`` ("Circular reference
+    detected").
 
     A ``TraceDocument`` or ``FluencyReport`` is written straight from its
     fields, to the bytes of its dict form (``trace_document``,
     ``report_document``), without building that form. The dict form stays
-    the reference: a record with a number that is not a finite, exact
-    ``float`` or ``int`` (a ``bool`` seed among them) or a name that is not
-    a ``str`` is written through it, so its bytes and complaints are the
-    dict form's.
+    the reference: the writer lays each field out as a column over the
+    record's rows, and a record with a column that holds other than names
+    (``str``) or finite, exact ``float`` or ``int`` values (a ``bool`` seed,
+    a non-finite time, a name beside a number), or with a ``feasible`` that
+    is not a ``bool``, is written through it, so its bytes and complaints
+    are the dict form's.
     """
     from .fluency import FluencyReport
 
@@ -395,8 +377,11 @@ def dump_document(document: dict[str, Any] | TraceDocument | FluencyReport) -> s
         document = report_document(document)
     try:
         return json.dumps(document, indent=2, allow_nan=False) + "\n"
-    except ValueError:
-        problem = _non_finite(document, "")
+    except ValueError as exc:
+        try:
+            problem = _non_finite(document, "")
+        except RecursionError:  # the walk goes round a document that contains itself
+            raise exc from None
         if problem is None:
             raise
         raise DocumentError([problem]) from None
@@ -523,19 +508,32 @@ def _non_finite(value: Any, path: str) -> str | None:
 
 
 # The record writers below lay out what ``json.dumps(indent=2)`` writes for
-# the dict form, and return None for a record that form must write. ``%s``
-# writes an exact float or int as its ``repr``, as the encoder does, and
-# ``encode_basestring_ascii`` raises TypeError on a name that is not a str.
-# Every name is escaped before any formatting, so that escape is the only
-# TypeError that sends a record to its dict form.
+# the dict form, from the same rows, and return None for a record that form
+# must write. Every field is checked by type before any formatting, so an
+# error of the formatting itself shows instead of sending a record there.
 
 
-def _finite(numbers: list[Any]) -> bool:
+def _finite(numbers: Collection[Any]) -> bool:
     """Whether every item is an exact ``float`` or ``int``, and finite."""
     try:
         return {float, int}.issuperset(map(type, numbers)) and all(map(math.isfinite, numbers))
     except OverflowError:  # an int past the largest float, which json still writes
         return False
+
+
+def _column(values: Collection[Any]) -> list[str] | None:
+    """One field of a run of rows as json writes it, or None if only the dict form can.
+
+    A column of names (``str``) is escaped, and a column of finite, exact
+    ``float`` or ``int`` values is written as its ``repr``, as the encoder
+    writes it. Any other column, a name beside a number among them, is None.
+    """
+    if next(iter(values), "").__class__ is str:
+        try:
+            return list(map(encode_basestring_ascii, values))
+        except TypeError:  # a name beside a value that is not a str
+            return None
+    return list(map(repr, values)) if _finite(values) else None
 
 
 def _items(rows: list[str], brackets: str, pad: str) -> str:
@@ -551,75 +549,62 @@ def _template(keys: tuple[str, ...], pad: str) -> str:
     return _items([f'"{key}": %s' for key in keys], "{}", pad)
 
 
+def _objects(rows: Iterable[tuple[Any, ...]], keys: tuple[str, ...], pad: str) -> list[str] | None:
+    """Each row written as an object of ``keys`` closing at ``pad``, or None for the dict form."""
+    columns = list(map(_column, zip(*rows)))
+    return None if None in columns else list(map(_template(keys, pad).__mod__, zip(*columns)))
+
+
+def _keyed(keys: Collection[Any], texts: list[str | None] | None) -> str | None:
+    """A top-level object of ``texts`` keyed by ``keys``, or None for the dict form.
+
+    json writes a key that is not a str as the text of its value, which the
+    writer does not, so such a key takes the dict form, as a missing text does.
+    """
+    if texts is None or None in texts or not {str}.issuperset(map(type, keys)):
+        return None
+    return _items([f"{k}: {t}" for k, t in zip(_column(keys), texts)], "{}", "  ")
+
+
 def _trace_text(doc: TraceDocument) -> str | None:
     """``dump_document(trace_document(doc))``, written from the records."""
-    trace, esc = doc.trace, encode_basestring_ascii
-    events = _in_order(trace.events)
-    times = [trace.start_time, *chain.from_iterable((e.start, e.end) for e in events)]
-    if trace.seed.__class__ is not int or trace.feasible.__class__ is not bool or not _finite(times):
+    trace, kept = doc.trace, _kept(doc)
+    # An absent daisy or comment is written as "" here and left out with its key.
+    parts = (_column(["" if x is None else x for x in (doc.daisy, doc.comments)]),
+             _column(trace.agents), _column((trace.seed, trace.start_time)),
+             _objects(map(_event_row, _in_order(trace.events)), _EVENT_KEYS, "    "))
+    if None in parts or trace.feasible.__class__ is not bool:
         return None
-    try:
-        agents = list(map(esc, trace.agents))
-        rows = [(esc(e.agent), esc(e.petal), esc(e.action), e.start, e.end) for e in events]
-        head = [] if doc.daisy is None else [esc(doc.daisy)]
-        tail = [] if doc.comments is None else [esc(doc.comments)]
-    except TypeError:
-        return None
-    event = _template(("agent", "petal", "action", "start", "end"), "    ")
-    values = [*head, _items(agents, "[]", "  "), trace.seed, "true" if trace.feasible else "false",
-              trace.start_time, _items(list(map(event.__mod__, rows)), "[]", "  "), *tail]
-    keys = ("daisy",) * len(head) + ("agents", "seed", "feasible", "start_time", "events")
-    keys += ("comments",) * len(tail)
-    return _template(keys, "") % tuple(values) + "\n"
+    (daisy, comments), agents, (seed, start_time), events = parts
+    values = (daisy, _items(agents, "[]", "  "), seed, "true" if trace.feasible else "false",
+              start_time, _items(events, "[]", "  "), comments)
+    return _template(_TRACE_KEYS[kept], "") % values[kept] + "\n"
 
 
 def _report_text(report: FluencyReport) -> str | None:
     """``dump_document(report_document(report))``, written from the records."""
-    agents, esc = report.agents, encode_basestring_ascii
     # Keyed as the dict form keys them, so an agent named twice merges the same way.
-    by_agent = {a: report.delay_by_agent.get(a) for a in agents}
-    idle = {b.agent: (b.total, b.waiting_time, b.resting_time) for b in report.idle}
-    handoffs = [(h, h.product_available, h.receiver_ready, h.receipt_start, h.readiness_delay,
-                 h.functional_delay) for h in report.handoffs]
-    numbers = [report.window_start, report.window_end, report.makespan, *by_agent.values(),
-               *chain.from_iterable(idle.values()), *(d.delay for d in report.petal_delays),
-               *chain.from_iterable(row[1:] for row in handoffs)]
-    entries = [_interval_text(report, spans, "  ")
-               for spans in (report.concurrent_activity, report.concurrent_inactivity)]
-    entries += [_interval_text(report, spans, "    ") for spans in report.sole_activity.values()]
-    if not _finite(numbers) or None in entries:
-        return None
-    try:
-        names = list(map(esc, agents))
-        idle_names, sole_names, delay_names = (list(map(esc, keys)) for keys in (
-            idle, report.sole_activity, by_agent))
-        delays = [(esc(d.source_petal), esc(d.target_petal), esc(d.agent), d.delay)
-                  for d in report.petal_delays]
-        handoff_rows = [(esc(h.source_petal + "." + h.source_action), esc(h.source_agent),
-                         esc(h.target_petal + "." + h.target_action), esc(h.target_agent),
-                         *figures, esc(h.state.value)) for h, *figures in handoffs]
-    except TypeError:
-        return None
-    idle_row = _template(("total", "waiting", "resting"), "    ")
-    delay = _template(("source_petal", "target_petal", "agent", "delay"), "    ")
-    handoff = _template(("source", "source_agent", "target", "target_agent", "product_available",
-                         "receiver_ready", "receipt_start", "readiness_delay", "functional_delay",
-                         "state"), "    ")
-    values = (
-        _items(names, "[]", "  "),
-        _template(("start", "end", "makespan"), "  ")
-        % (report.window_start, report.window_end, report.makespan),
-        _items([f"{a}: {idle_row % figures}" for a, figures in zip(idle_names, idle.values())],
-               "{}", "  "),
-        *entries[:2],
-        _items([f"{a}: {e}" for a, e in zip(sole_names, entries[2:])], "{}", "  "),
-        _items(list(map(delay.__mod__, delays)), "[]", "  "),
-        _items([f"{a}: {x!r}" for a, x in zip(delay_names, by_agent.values())], "{}", "  "),
-        _items(list(map(handoff.__mod__, handoff_rows)), "[]", "  "),
+    idle_rows = {b.agent: _idle_row(b) for b in report.idle}
+    agent_delays = {a: report.delay_by_agent.get(a) for a in report.agents}
+    parts = (
+        _column(report.agents),
+        _column(_window_row(report)),
+        _keyed(idle_rows, _objects(idle_rows.values(), _IDLE_KEYS, "    ")),
+        _interval_text(report, report.concurrent_activity, "  "),
+        _interval_text(report, report.concurrent_inactivity, "  "),
+        _keyed(report.sole_activity, [_interval_text(report, spans, "    ")
+                                      for spans in report.sole_activity.values()]),
+        _objects(map(_delay_row, report.petal_delays), _DELAY_KEYS, "    "),
+        _keyed(agent_delays, _column(agent_delays.values())),
+        _objects(map(_handoff_row, report.handoffs), _HANDOFF_KEYS, "    "),
     )
-    keys = ("agents", "window", "idle", "concurrent_activity", "concurrent_inactivity",
-            "sole_activity", "petal_delays", "delay_by_agent", "handoffs")
-    return _template(keys, "") % values + "\n"
+    if None in parts:
+        return None
+    agents, window, idle, active, inactive, sole, delays, by_agent, handoffs = parts
+    values = (_items(agents, "[]", "  "), _template(_WINDOW_KEYS, "  ") % tuple(window), idle,
+              active, inactive, sole, _items(delays, "[]", "  "), by_agent,
+              _items(handoffs, "[]", "  "))
+    return _template(_REPORT_KEYS, "") % values + "\n"
 
 
 def _interval_text(report: FluencyReport, spans: IntervalSet, pad: str) -> str | None:
@@ -628,13 +613,12 @@ def _interval_text(report: FluencyReport, spans: IntervalSet, pad: str) -> str |
 
     if not isinstance(spans, IntervalSet):
         return None
-    seconds = spans.measure
-    fraction = report.fraction_of_makespan(seconds)
-    if not _finite([seconds, fraction, *chain.from_iterable(spans.intervals)]):
+    seconds, fraction, spans = _entry_row(report, spans)
+    if not _finite([seconds, fraction, *chain.from_iterable(spans)]):
         return None
     pair = _items(["%s", "%s"], "[]", pad + "    ")
-    intervals = _items(list(map(pair.__mod__, spans.intervals)), "[]", pad + "  ")
-    return _template(("seconds", "fraction", "intervals"), pad) % (seconds, fraction, intervals)
+    intervals = _items(list(map(pair.__mod__, spans)), "[]", pad + "  ")
+    return _template(_ENTRY_KEYS, pad) % (seconds, fraction, intervals)
 
 
 # -- parsing internals -------------------------------------------------------
@@ -932,7 +916,7 @@ def _parse_event(item: Any, index: int, errors: list[str]) -> ExecutionEvent | N
     if not _is_object(item):
         errors.append(f"{path}: expected an event object")
         return None
-    _reject_unknown(item, {"agent", "petal", "action", "start", "end"}, path, errors)
+    _reject_unknown(item, {*_EVENT_KEYS}, path, errors)
     agent = _parse_name(item.get("agent"), path, ".agent", errors)
     petal = _parse_name(item.get("petal"), path, ".petal", errors)
     action = _parse_name(item.get("action"), path, ".action", errors)

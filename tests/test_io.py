@@ -1,8 +1,10 @@
 """Document parsing, canonical serialization, and file round trips."""
 from __future__ import annotations
 
+import errno
 import json
 import math
+import os
 from dataclasses import replace
 from types import MappingProxyType
 
@@ -292,6 +294,10 @@ def test_unassigned_owner_round_trips_as_null():
      "ordering: expected a list of petal names"),
     (parse_daisy, replaced(tiny_doc(), ["agents", 0, "name"], 5),
      "agents[0].name: expected a string, got 5"),
+    (parse_daisy, replaced(tiny_doc(), ["agents", 0], {"name": "X"}),
+     "agents[0].id: expected a non-empty string, got None"),
+    (parse_daisy, replaced(tiny_doc(), ["capabilities"], 5),
+     "capabilities: expected an object keyed by agent id"),
 ])
 def test_document_shape_errors_name_their_path(parse, document, expected):
     with pytest.raises(DocumentError) as excinfo:
@@ -443,6 +449,62 @@ def test_save_document_is_atomic_and_loads_back(tmp_path):
     trace_path = tmp_path / "trace.json"
     save_document(trace_document(TraceDocument(trace=trace)), trace_path)
     assert load_trace(trace_path).trace == trace
+
+
+def test_a_failed_replace_leaves_the_target_as_it_was(tmp_path, monkeypatch):
+    target = tmp_path / "task.json"
+    target.write_text("old\n")
+    refusal = RuntimeError("replace refused")
+
+    def refuse(source, destination):
+        raise refusal
+
+    monkeypatch.setattr(madtn_files.os, "replace", refuse)
+    with pytest.raises(RuntimeError) as excinfo:
+        save_document({"a": 1}, target)
+    assert excinfo.value is refusal
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["task.json"]
+
+
+def test_a_failed_cleanup_still_names_the_target(tmp_path, monkeypatch):
+    target = tmp_path / "task.json"
+
+    def refuse(*paths):
+        raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), *paths)
+
+    def also_refuse(path):
+        raise OSError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+    monkeypatch.setattr(madtn_files.os, "replace", refuse)
+    monkeypatch.setattr(madtn_files.os, "unlink", also_refuse)
+    with pytest.raises(OSError) as excinfo:
+        save_document({"a": 1}, target)
+    assert (excinfo.value.errno, excinfo.value.filename) == (errno.EXDEV, str(target))
+    reason = os.strerror(errno.EXDEV)
+    assert str(excinfo.value) == f"[Errno {errno.EXDEV}] {reason}: {str(target)!r}"
+
+
+def _holds_itself(container):
+    if isinstance(container, dict):
+        container["a"] = container
+    else:
+        container.append(container)
+    return container
+
+
+@pytest.mark.parametrize("container", [{}, []], ids=["dict", "list"])
+def test_a_document_that_contains_itself_raises_what_json_raised(tmp_path, container):
+    document = _holds_itself(container)
+    with pytest.raises(ValueError) as excinfo:
+        json.dumps(document)
+    expected = str(excinfo.value)
+    for write in (dump_document, lambda d: save_document(d, tmp_path / "doc.json")):
+        with pytest.raises(ValueError) as excinfo:
+            write(document)
+        assert type(excinfo.value) is ValueError
+        assert str(excinfo.value) == expected == "Circular reference detected"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_parse_profiles():
