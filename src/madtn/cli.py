@@ -184,7 +184,7 @@ def _cmd_validate(args) -> int:
 def _cmd_compile(args) -> int:
     daisy, stn = _compile_task(args)
     graph = solve(stn)
-    lines = [f"timepoints: {len(stn)}", f"constraints: {len(stn.constraints)}"]
+    lines = [f"timepoints: {len(stn)}", f"constraints: {len(stn._rows)}"]
     if not graph.consistent:
         lines.append("consistent: no")
         for line in lines:

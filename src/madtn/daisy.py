@@ -25,7 +25,7 @@ from .errors import (
     UnassignedPetalError,
     UnknownTimePointError,
 )
-from .stn import INF, STN, UNASSIGNED, TemporalConstraint, TimePoint
+from .stn import INF, STN, UNASSIGNED, TimePoint
 
 #: Path tokens for the global vertices in constraint endpoints.
 GLOBAL_START_TOKEN = "Vs"
@@ -489,19 +489,32 @@ def compile_to_stn(
     """Compile a valid, fully assigned daisy to a simple temporal network.
 
     The network contains one vertex per action start and end plus the two
-    global vertices, anchored at the global start. Constraints are:
+    global vertices, anchored at the global start: ``Vs`` first, then each
+    petal's actions in declaration order, start before end, and ``Ve``
+    last. Constraints are, in this order:
 
-    * each action's duration bounds between its start and end vertex,
-    * ``[0, +inf)`` between consecutive actions of a petal (back-to-back
-      work inside a petal costs nothing),
-    * ``[0, +inf)`` from the global start into each petal's first action and
-      from each petal's last action out to the global end,
-    * ``[t, +inf)`` between an agent's consecutive petals
-      (``sequencing_constraint``), and
+    * for each petal in declaration order: each action's duration bounds
+      between its start and end vertex, ``[0, +inf)`` from the global start
+      into the petal's first action, ``[0, +inf)`` between consecutive
+      actions of the petal (back-to-back work inside a petal costs
+      nothing), and ``[0, +inf)`` from its last action out to the global
+      end;
+    * for each agent in declaration order, ``[t, +inf)`` from the last end
+      of each of its petals to the first start of its next one, which runs
+      that petal next once the earlier one is done;
+    * ``[0, +inf)`` from the global start to the global end when the task
+      has no petals; and
     * every external constraint verbatim,
 
     where ``t`` is the owning agent's transition lower bound (0 by default;
     pass a mapping to model per-agent repositioning time between petals).
+
+    Each constraint is written as a row of the network directly, with no
+    ``TemporalConstraint`` built, because every row has already passed
+    that class's checks: an action's bounds in ``Action``, an external
+    constraint's in ``validate_daisy`` (which also finds both its ends in
+    the task), and a transition bound in ``_transition``. The other rows
+    are ``[0, +inf)``.
 
     ``ordering`` gives petal names in execution order. Only its projection
     onto each single agent's petals matters, because agents sequence only
@@ -523,22 +536,30 @@ def compile_to_stn(
     if violations:
         raise InvalidDaisyError(violations)
 
+    points = [daisy.start]
+    for petal in daisy.petals:
+        for action in petal.actions:
+            points += action.start, action.end
+    points.append(daisy.end)
     stn = STN()
-    stn.add_point(daisy.start)
-    for petal in daisy.petals:
-        for action in petal.actions:
-            stn.add_point(action.start)
-            stn.add_point(action.end)
-    stn.add_point(daisy.end)
-    stn.anchor = daisy.start
+    index = dict(zip(points, range(len(points))))
+    if len(index) < len(points):  # a global vertex used twice
+        for point in points:
+            stn.add_point(point)  # raises, naming it
+    stn._index, stn._anchor = index, daisy.start
+    append = stn._rows.append
 
+    end = len(points) - 1
+    at = 1  # the position of the next action's start
     for petal in daisy.petals:
+        first = at
         for action in petal.actions:
-            stn.constrain(action.start, action.end, action.lower, action.upper)
-        stn.constrain(daisy.start, petal.first.start, 0.0, INF)
-        for before, after in zip(petal.actions, petal.actions[1:]):
-            stn.constrain(before.end, after.start, 0.0, INF)
-        stn.constrain(petal.last.end, daisy.end, 0.0, INF)
+            append((at, at + 1, action.lower, action.upper))
+            at += 2
+        append((0, first, 0.0, INF))
+        for before_end in range(first + 1, at - 1, 2):
+            append((before_end, before_end + 1, 0.0, INF))
+        append((at - 1, end, 0.0, INF))
 
     if sequenced:
         ordered = _ordered_petals(daisy, ordering)
@@ -546,30 +567,15 @@ def compile_to_stn(
             mine = [p for p in ordered if p.owner == agent.id]
             gap = _transition(transition_lower, agent.id)
             for before, after in zip(mine, mine[1:]):
-                stn.add_constraint(sequencing_constraint(before, after, gap))
+                append((index[before.last.end], index[after.first.start], gap, INF))
 
     if not daisy.petals:
-        stn.constrain(daisy.start, daisy.end, 0.0, INF)
+        append((0, end, 0.0, INF))
 
     for c in daisy.constraints:
-        stn.constrain(c.source, c.target, c.lower, c.upper)
+        append((index[c.source], index[c.target], c.lower, c.upper))
 
     return stn
-
-
-def sequencing_constraint(
-    before: Petal, after: Petal, gap: float = 0.0
-) -> TemporalConstraint:
-    """``[gap, +inf)`` from the end of ``before`` to the start of ``after``.
-
-    This is what runs ``after`` as its agent's next petal once ``before`` is
-    done; ``compile_to_stn`` adds one per consecutive pair of an agent's
-    petals. ``enumerate_orders`` builds none: for each petal it places after
-    another of the same owner, it adds the one arc this constraint defines
-    with no gap, from ``after``'s first start back to ``before``'s last end
-    weighing -0.0.
-    """
-    return TemporalConstraint(before.last.end, after.first.start, gap, INF)
 
 
 def _ordered_petals(daisy: Daisy, ordering: Sequence[str] | None) -> list[Petal]:

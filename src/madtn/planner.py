@@ -195,9 +195,9 @@ def enumerate_orders(daisy: Daisy, limit: int | None = 1000) -> list[tuple[str, 
             for name in sequence[len(stack):]:
                 tail = -1
                 if stack:
-                    # ``sequencing_constraint`` with no gap: [0, +inf) from the
-                    # earlier petal's last end to this one's first start, the
-                    # single arc back weighing -0.0.
+                    # The sequencing constraint of ``compile_to_stn`` with no
+                    # gap: [0, +inf) from the earlier petal's last end to this
+                    # one's first start, the single arc back weighing -0.0.
                     tail = first_at[name]
                     if not add_arc(arcs, potential, tail, last_at[stack[-1][0]], -0.0):
                         return False

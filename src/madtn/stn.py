@@ -7,6 +7,14 @@ finds every shortest path in it: Dijkstra's algorithm on the reduced costs
 ``potential[u] + w - potential[v]`` of a feasible potential (Johnson's
 reweighting), run outward from one vertex whose label has just fallen.
 
+An ``STN`` stores each constraint as a row ``(source position, target
+position, lower, upper)``, a position being the index of a timepoint in
+the order the network received it. ``solve`` and ``check_schedule`` read
+the rows by position. ``STN.constraints`` builds a fresh
+``TemporalConstraint`` per row each time it is read, and ``check_schedule``
+builds one for each constraint it finds broken; each is equal to the
+constraint its row was made from, though not the same object.
+
 * ``solve`` starts from a zero potential, as if a virtual source had a
   zero arc to every point, and inserts the arcs one at a time with
   ``add_arc``, which lowers only the labels the new arc reaches
@@ -142,16 +150,20 @@ class TemporalConstraint:
         larger time, so the verdict holds at any time origin: float spacing
         alone is about 2.4e-7 s at epoch timestamps (1.7e9 s).
         """
-        scale = max(abs(source_time), abs(target_time))
-        slack = TOLERANCE + 4 * math.ulp(scale) if scale < INF else TOLERANCE
-        diff = target_time - source_time
-        return self.lower - slack <= diff <= self.upper + slack
+        return _satisfied(self.lower, self.upper, source_time, target_time)
 
     def __repr__(self) -> str:
         return (
             f"TemporalConstraint({self.source.label!r} -> {self.target.label!r}, "
             f"[{self.lower}, {self.upper}])"
         )
+
+
+def _satisfied(lower: float, upper: float, source_time: float, target_time: float) -> bool:
+    """``TemporalConstraint.satisfied_by`` of a constraint with these bounds."""
+    scale = max(abs(source_time), abs(target_time))
+    slack = TOLERANCE + 4 * math.ulp(scale) if scale < INF else TOLERANCE
+    return lower - slack <= target_time - source_time <= upper + slack
 
 
 #: A total assignment of times (seconds) to timepoints.
@@ -163,11 +175,20 @@ class STN:
 
     The first timepoint added becomes the anchor (the time-zero reference)
     unless another member is designated later.
+
+    Each constraint is kept as one row ``(source position, target position,
+    lower, upper)`` in a single list, in the order the constraints were
+    added; a position counts timepoints in the order they were added.
+    ``add_constraint`` and ``constrain`` append a row only for a
+    ``TemporalConstraint``, whose bounds have passed its checks, between
+    member timepoints; ``compile_to_stn`` writes rows that passed the same
+    checks elsewhere. ``constraints`` builds a fresh, equal
+    ``TemporalConstraint`` per row each time it is read.
     """
 
     def __init__(self):
         self._index: dict[TimePoint, int] = {}  # point to position, in order
-        self._constraints: list[TemporalConstraint] = []
+        self._rows: list[tuple[int, int, float, float]] = []
         self._anchor: TimePoint | None = None
 
     @property
@@ -176,7 +197,11 @@ class STN:
 
     @property
     def constraints(self) -> tuple[TemporalConstraint, ...]:
-        return tuple(self._constraints)
+        points = tuple(self._index)
+        return tuple(
+            TemporalConstraint(points[i], points[j], lower, upper)
+            for i, j, lower, upper in self._rows
+        )
 
     @property
     def anchor(self) -> TimePoint | None:
@@ -215,12 +240,14 @@ class STN:
         Duplicate constraints on the same pair are kept; solving uses their
         intersection.
         """
+        index = self._index
         for endpoint in (constraint.source, constraint.target):
-            if endpoint not in self._index:
+            if endpoint not in index:
                 raise UnknownTimePointError(
                     f"constraint endpoint {endpoint!r} is not in the network"
                 )
-        self._constraints.append(constraint)
+        self._rows.append((index[constraint.source], index[constraint.target],
+                           constraint.lower, constraint.upper))
 
     def constrain(
         self, source: TimePoint, target: TimePoint, lower: float, upper: float
@@ -317,9 +344,8 @@ def solve(stn: STN) -> DistanceGraph:
     # every weight is finite.
     weights: dict[tuple[int, int], float] = {}
     self_consistent = True
-    for c in stn.constraints:
-        i, j = index[c.source], index[c.target]
-        for tail, head, weight in ((i, j, c.upper), (j, i, -c.lower)):
+    for i, j, lower, upper in stn._rows:
+        for tail, head, weight in ((i, j, upper), (j, i, -lower)):
             if weight == INF:
                 continue
             if tail == head:
@@ -589,16 +615,20 @@ def check_schedule(stn: STN, schedule: Mapping[TimePoint, float]) -> list[Tempor
     Satisfaction is checked to within ``TOLERANCE`` seconds plus a few units
     in the last place of the times compared, boundaries inclusive. The slack
     is never negative, so a difference within the bounds themselves passes
-    without it, and ``satisfied_by`` judges only the rest.
+    without it, and the slack test of ``satisfied_by`` judges only the rest.
+    Only a row that fails both becomes a ``TemporalConstraint``, a fresh one
+    equal to the constraint it was made from.
     """
-    for point in stn._index:
+    points = tuple(stn._index)
+    for point in points:
         if point not in schedule:
             raise MissingTimePointError(f"schedule does not assign {point!r}")
+    times = [schedule[point] for point in points]
     violated = []
-    for c in stn._constraints:
-        source, target = schedule[c.source], schedule[c.target]
-        if not c.lower <= target - source <= c.upper and not c.satisfied_by(source, target):
-            violated.append(c)
+    for i, j, lower, upper in stn._rows:
+        source, target = times[i], times[j]
+        if not lower <= target - source <= upper and not _satisfied(lower, upper, source, target):
+            violated.append(TemporalConstraint(points[i], points[j], lower, upper))
     return violated
 
 

@@ -14,6 +14,10 @@ sweeps are only valid on connected constraint graphs. All generators here
 keep magnitudes small enough that every schedule of a consistent network
 fits inside the default domain.
 
+``reference_compile`` builds a task's network one ``STN.constrain`` call
+per constraint, in the order the ``compile_to_stn`` docstring gives, so
+every bound passes ``TemporalConstraint``'s checks on its way in.
+
 ``reference_simulate`` is the simulation loop as it stood before runs were
 planned per task: every run rebuilds each agent's queue and start gates
 and walks them one constraint at a time.
@@ -24,8 +28,8 @@ import math
 import random
 from typing import Iterator, Mapping, Sequence
 
-from madtn import ConstraintKind, Daisy, DeadlockError, UnknownAgentError
-from madtn.daisy import _transition
+from madtn import INF, ConstraintKind, Daisy, DeadlockError, UnknownAgentError
+from madtn.daisy import _ordered_petals, _transition
 from madtn.simulate import (
     BehaviorProfile,
     ExecutionEvent,
@@ -35,7 +39,7 @@ from madtn.simulate import (
     _start_gates,
     _waiting_cycle,
 )
-from madtn.stn import check_schedule
+from madtn.stn import STN, check_schedule
 
 # A constraint is (i, j, lower, upper): lower <= t[j] - t[i] <= upper.
 Constraint = tuple[int, int, float, float]
@@ -289,6 +293,44 @@ def random_dyadic_case(
         elif lower != -math.inf:
             constraints[k] = (i, j, lower - 2 * shift, lower - shift)
     return n, constraints
+
+
+# -- compile reference ----------------------------------------------------------
+
+
+def reference_compile(
+    daisy: Daisy,
+    ordering: Sequence[str] | None = None,
+    transition_lower: float | Mapping[str, float] = 0.0,
+    sequenced: bool = True,
+) -> STN:
+    """The network of a valid, fully assigned daisy, through ``STN.constrain``."""
+    stn = STN()
+    stn.add_point(daisy.start)
+    for petal in daisy.petals:
+        for action in petal.actions:
+            stn.add_point(action.start)
+            stn.add_point(action.end)
+    stn.add_point(daisy.end)
+    for petal in daisy.petals:
+        for action in petal.actions:
+            stn.constrain(action.start, action.end, action.lower, action.upper)
+        stn.constrain(daisy.start, petal.first.start, 0.0, INF)
+        for before, after in zip(petal.actions, petal.actions[1:]):
+            stn.constrain(before.end, after.start, 0.0, INF)
+        stn.constrain(petal.last.end, daisy.end, 0.0, INF)
+    if sequenced:
+        ordered = _ordered_petals(daisy, ordering)
+        for agent in daisy.agents:
+            mine = [p for p in ordered if p.owner == agent.id]
+            gap = _transition(transition_lower, agent.id)
+            for before, after in zip(mine, mine[1:]):
+                stn.constrain(before.last.end, after.first.start, gap, INF)
+    if not daisy.petals:
+        stn.constrain(daisy.start, daisy.end, 0.0, INF)
+    for c in daisy.constraints:
+        stn.constrain(c.source, c.target, c.lower, c.upper)
+    return stn
 
 
 # -- simulation reference -------------------------------------------------------

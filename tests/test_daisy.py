@@ -1,6 +1,9 @@
 """Daisy model construction, validation, and compilation."""
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 
 from madtn import (
@@ -36,7 +39,9 @@ from madtn import (
 from madtn.simulate import _start_gates
 from madtn.stn import TimePoint
 from conftest import stn_as_tuples
-from oracles import brute_difference_bounds
+from oracles import brute_difference_bounds, reference_compile
+from test_reference import TASKS
+from test_planner import random_daisy
 
 
 def two_petal_daisy(handoff_lower=0.0, makespan=(0.0, 6.0)):
@@ -129,9 +134,16 @@ def one_petal_daisy(agent="x", petal="p", bounds=None, makespan=None):
     (one_petal_daisy(bounds=(float("nan"), 3.0)), "other constraint has NaN bounds"),
     (one_petal_daisy(bounds=(INF, INF)),
      "other constraint bounds [inf, inf] admit no finite difference"),
+    (one_petal_daisy(bounds=(-INF, -INF)),
+     "other constraint bounds [-inf, -inf] admit no finite difference"),
+    (one_petal_daisy(bounds=(0.0, float("nan"))), "other constraint has NaN bounds"),
 ])
 def test_validation_names_each_broken_model_rule(daisy, expected):
     assert expected in validate_daisy(daisy)
+    # Compiling writes rows unchecked, so validation must stop each of them.
+    with pytest.raises(InvalidDaisyError) as raised:
+        compile_to_stn(daisy)
+    assert expected in raised.value.violations
 
 
 def test_validation_catches_shared_and_duplicate_actions():
@@ -377,6 +389,91 @@ def test_compile_vertex_count_and_anchor(packaging):
     # Vertices are named through the daisy; compiling leaves labels alone.
     assert daisy.vertex_path(first.start) == "Retrieve Object A.Walk to Shelf.start"
     assert first.start.label == label
+
+
+def solved_bits(network):
+    """The verdict of ``solve`` and its potential, each label as its bits."""
+    graph = solve(network)
+    bits = None if graph.potential is None else [float.hex(x) for x in graph.potential]
+    return graph.consistent, bits
+
+
+def agrees(network, reference):
+    """Whether ``network`` has ``reference``'s points and constraints, in
+    order, and solves to the same verdict and bit for bit the same potential."""
+    try:
+        constraints = network.constraints
+    except InvertedBoundsError:  # a row that no constraint admits
+        return False
+    return (
+        network.timepoints == reference.timepoints
+        and network.anchor is reference.anchor
+        and constraints == reference.constraints
+        and solved_bits(network) == solved_bits(reference)
+    )
+
+
+def compile_cases(daisy):
+    """``compile_to_stn`` arguments: declared, ordered, gapped and unsequenced."""
+    names = [p.name for p in daisy.petals]
+    gaps = {agent.id: 0.5 * (k + 1) for k, agent in enumerate(daisy.agents)}
+    return {
+        "declared": {},
+        "ordering": {"ordering": names[::-1]},
+        "transitions": {"ordering": names[::-1], "transition_lower": gaps},
+        "unsequenced": {"sequenced": False},
+    }
+
+
+@pytest.mark.parametrize("case", ["declared", "ordering", "transitions", "unsequenced"])
+def test_compile_writes_what_constrain_would_add(packaging, case):
+    daisy = packaging.daisy
+    kwargs = compile_cases(daisy)[case]
+    reference = reference_compile(daisy, **kwargs)
+    assert agrees(compile_to_stn(daisy, **kwargs), reference)
+    if case != "transitions":
+        return
+    # Each mutant breaks one row, and the comparison catches it.
+    rows = compile_to_stn(daisy, **kwargs)._rows
+    petal_rows = sum(2 * len(p.actions) + 1 for p in daisy.petals)
+    i, j, gap, upper = rows[petal_rows]  # the first sequencing row
+    k = next(k for k, p in enumerate(daisy.petals) if p.first.lower != p.first.upper)
+    action_row = sum(2 * len(p.actions) + 1 for p in daisy.petals[:k])
+    a, b, lower, bound = rows[action_row]
+    assert gap > 0 and lower < bound
+
+    def replaced(at, row):
+        return rows[:at] + [row] + rows[at + 1:]
+
+    mutants = {
+        "two rows swapped": [rows[1], rows[0], *rows[2:]],
+        "a sequencing row without its gap": replaced(petal_rows, (i, j, 0.0, upper)),
+        "an action row with its bounds swapped": replaced(action_row, (a, b, bound, lower)),
+    }
+    for name, mutated in mutants.items():
+        mutant = compile_to_stn(daisy, **kwargs)
+        mutant._rows[:] = mutated
+        assert not agrees(mutant, reference), name
+
+
+def test_compile_writes_what_constrain_would_add_on_random_tasks():
+    # The random tasks of ``test_reference.py``, in the same draws.
+    rng = random.Random(20261020)
+    verdicts = Counter()
+    for _ in range(TASKS):
+        daisy = random_daisy(rng)
+        for kwargs in compile_cases(daisy).values():
+            network = compile_to_stn(daisy, **kwargs)
+            assert agrees(network, reference_compile(daisy, **kwargs)), kwargs
+            verdicts[solve(network).consistent] += 1
+    assert verdicts[True] and verdicts[False]
+    # A task with no petals, and one whose global start is its global end.
+    empty = Daisy(agents=(Agent("x"),), petals=())
+    assert agrees(compile_to_stn(empty), reference_compile(empty))
+    shared = Daisy(agents=empty.agents, petals=(), start=empty.start, end=empty.start)
+    for build in (compile_to_stn, reference_compile):
+        with pytest.raises(ValueError, match="already a member"):
+            build(shared)
 
 
 def shared_action_pair():
