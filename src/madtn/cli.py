@@ -201,8 +201,8 @@ def _cmd_compile(args) -> int:
 def _cmd_schedule(args) -> int:
     daisy, stn = _compile_task(args)
     times = earliest_schedule(stn)
-    for point in stn.timepoints:
-        print(f"{times[point]:12.6f}  {daisy.vertex_path(point)}")
+    sys.stdout.write("".join(
+        f"{times[point]:12.6f}  {daisy.vertex_path(point)}\n" for point in stn.timepoints))
     return 0
 
 
@@ -225,13 +225,11 @@ def _cmd_plan(args) -> int:
                 file=sys.stderr,
             )
             return 1
-    orders = enumerate_orders(daisy, limit=args.limit)
-    for order in orders:
-        print(", ".join(order))
+    lines = [", ".join(order) for order in enumerate_orders(daisy, limit=args.limit)]
     if assigned is not None:
-        print("assignment:")
-        for petal in assigned.petals:
-            print(f"  {petal.name}: {petal.owner}")
+        lines.append("assignment:")
+        lines += [f"  {petal.name}: {petal.owner}" for petal in assigned.petals]
+    sys.stdout.write("".join(f"{line}\n" for line in lines))
     return 0
 
 

@@ -16,7 +16,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .daisy import ConstraintKind, Daisy, compile_to_stn, find_cycle
 from .errors import CyclicPrecedenceError, NoCapableAgentError
-from .stn import UNASSIGNED, add_arc, fold_series, solve
+from .stn import TOLERANCE, UNASSIGNED, add_arc, fold_series, solve
 
 
 @dataclass(frozen=True)
@@ -138,17 +138,19 @@ def enumerate_orders(daisy: Daisy, limit: int | None = 1000) -> list[tuple[str, 
 
     Each agent sequences only its own petals, so an order's network depends
     only on its projection: each agent's own sequence of petals. The task is
-    compiled and solved once without sequencing. A sequencing arc joins one
-    petal's last end to the next petal's first start, so ``fold_series``
-    then folds out every other vertex with two neighbours: a petal's inner
-    action vertices become at most one arc each way between its ends, unless
-    a constraint ties them to a third vertex. Distances between the kept
-    vertices are those of the full network, so every verdict is too, and
-    each fall walks only the kept vertices. Each petal's two ends are
-    located in the folded network once per call. A candidate is keyed by
-    its projection, and each projection is checked once, by adding the arcs
-    of its sequencing constraints to that folded network with ``add_arc``:
-    one arc for each petal placed after another petal of the same owner.
+    compiled and solved once without sequencing. A candidate is keyed by its
+    projection, and each projection is checked once, by adding the arcs of
+    its sequencing constraints to that network with ``add_arc``: one arc for
+    each petal placed after another petal of the same owner. A sequencing
+    arc joins one petal's last end to the next petal's first start, so at
+    the first arc that would lower a label, ``fold_series`` folds out every
+    other vertex with two neighbours: a petal's inner action vertices become
+    at most one arc each way between its ends, unless a constraint ties them
+    to a third vertex. Distances between the kept vertices are those of the
+    full network, so every verdict is too, and each fall walks only the kept
+    vertices. Arcs that lower no label run no fall, so until one comes the
+    network is not folded at all; each petal's two ends and each owner's
+    stacked arcs are then moved to their folded positions once.
     Every later candidate with the same projection takes the saved verdict.
     Each owner keeps a stack of its placed petals and the arcs they added.
     A new projection first pops every owner's stack back to the prefix it
@@ -167,16 +169,30 @@ def enumerate_orders(daisy: Daisy, limit: int | None = 1000) -> list[tuple[str, 
         p.name: (graph.position(p.first.start), graph.position(p.last.end)) for p in daisy.petals
     }
     keep = {graph.position(daisy.start), graph.position(daisy.end)}.union(*ends.values())
-    arcs, potential, position = fold_series(graph.arcs(), graph.potential, keep)
-    # Each petal's first start and last end in the folded network.
-    first_at = {name: position[first] for name, (first, _) in ends.items()}
-    last_at = {name: position[last] for name, (_, last) in ends.items()}
+    arcs, potential = graph.arcs(), list(graph.potential)
+    # Each petal's first start and last end, in ``arcs`` until the fold.
+    first_at = {name: first for name, (first, _) in ends.items()}
+    last_at = {name: last for name, (_, last) in ends.items()}
     # Per agent, in ``daisy.agents`` order: its petal names, and a stack of
     # each placed petal and the tail of the arc it added (-1 for none). A
     # petal's first start is the tail of at most one sequencing arc, so
     # ``arcs[tail].pop()`` takes back exactly that petal's arc.
     owned = [{p.name for p in daisy.petals if p.owner == a.id} for a in daisy.agents]
     stacks: list[list[tuple[str, int]]] = [[] for _ in owned]
+    folded = False
+
+    def fold() -> None:
+        # Fold once, before the first arc that lowers a label. The arcs added
+        # so far join kept vertices and lowered nothing, so each stays last
+        # in its tail's list, as on a network folded up front.
+        nonlocal arcs, potential, folded
+        arcs, potential, position = fold_series(arcs, potential, keep)
+        for at in (first_at, last_at):
+            for name, vertex in at.items():
+                at[name] = position[vertex]
+        for stack in stacks:
+            stack[:] = [(name, tail if tail < 0 else position[tail]) for name, tail in stack]
+        folded = True
 
     def check(projection: tuple[tuple[str, ...], ...]) -> bool:
         # Pop every agent back before adding any arc: an arc left from
@@ -198,8 +214,12 @@ def enumerate_orders(daisy: Daisy, limit: int | None = 1000) -> list[tuple[str, 
                     # The sequencing constraint of ``compile_to_stn`` with no
                     # gap: [0, +inf) from the earlier petal's last end to this
                     # one's first start, the single arc back weighing -0.0.
-                    tail = first_at[name]
-                    if not add_arc(arcs, potential, tail, last_at[stack[-1][0]], -0.0):
+                    before = stack[-1][0]
+                    if not folded and (potential[first_at[name]]
+                                       < potential[last_at[before]] - TOLERANCE):
+                        fold()
+                    tail, head = first_at[name], last_at[before]
+                    if not add_arc(arcs, potential, tail, head, -0.0):
                         return False
                 stack.append((name, tail))
         return True

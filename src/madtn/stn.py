@@ -16,16 +16,18 @@ builds one for each constraint it finds broken; each is equal to the
 constraint its row was made from, though not the same object.
 
 * ``solve`` starts from a zero potential, as if a virtual source had a
-  zero arc to every point, and inserts the arcs one at a time with
-  ``add_arc``, which lowers only the labels the new arc reaches
+  zero arc to every point, and inserts the arcs one at a time by the step
+  ``add_arc`` takes, which lowers only the labels the new arc reaches
   (incremental consistency, Cesta & Oddi 1996; Ramalingam & Reps 1996).
   Arcs go in vertex by vertex, in reverse postorder of a depth-first
   search over the arcs that weigh at most zero, along which labels first
   fall: a vertex's outgoing arcs are then not yet in place when its label
-  falls, so the fall stops there. In constraint order, a chain listed
-  backwards would carry every fall down the whole chain, and a search over
-  every arc would walk a chain of upper bounds against its falls. The
-  labels are kept as ``DistanceGraph.potential``, and
+  falls, so the fall stops there, and that one label is written with no
+  heap. In constraint order, a chain listed backwards would carry every
+  fall down the whole chain, and a search over every arc would walk a
+  chain of upper bounds against its falls. Each arc is stored once: a
+  vertex's merged list of arcs joins the arcs in place whole, once all of
+  them are in. The labels are kept as ``DistanceGraph.potential``, and
   ``enumerate_orders`` extends them with ``add_arc`` instead of solving
   each candidate order.
 * ``fold_series`` first shrinks that arc set to the vertices new arcs
@@ -67,7 +69,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Collection, Mapping
+from typing import Collection, Mapping, Sequence
 
 from .errors import (
     InconsistentNetworkError,
@@ -320,9 +322,12 @@ def solve(stn: STN) -> DistanceGraph:
     """Build the network's distance graph and decide its consistency.
 
     Always returns a graph; inspect ``DistanceGraph.consistent`` for the
-    verdict. From a zero potential, every arc is inserted with ``add_arc``,
-    vertex by vertex in the order the module docstring gives, and the
-    network is consistent unless an insertion closes a negative cycle.
+    verdict. Duplicate arcs merge per tail vertex, each vertex keeping its
+    heads in the order they first appear. From a zero potential, every arc
+    is inserted by the step ``add_arc`` takes, vertex by vertex in the order
+    the module docstring gives, and the network is consistent unless an
+    insertion closes a negative cycle. A vertex's arcs join the set that
+    falls read only once all of them are in, so ``solve`` copies no arc.
     Distances are computed later, one source at a time, as they are asked
     for. Cycles weighing at least ``-TOLERANCE``, such as zero-weight cycles
     that rounding leaves slightly negative, never make a network
@@ -339,37 +344,42 @@ def solve(stn: STN) -> DistanceGraph:
     points = stn.timepoints
     n = len(points)
     index = dict(stn._index)  # a copy: a solved network may be extended
-    # Arc weights are upper bounds on time(head) - time(tail). Overlapping
-    # constraints intersect via min. Infinite bounds contribute no arc, so
-    # every weight is finite.
-    weights: dict[tuple[int, int], float] = {}
+    # Arc weights are upper bounds on time(head) - time(tail), merged per
+    # tail: overlapping constraints intersect via min, and a tail keeps its
+    # heads in the order they first appear. Infinite bounds contribute no
+    # arc, so every weight is finite.
+    merged: list[dict[int, float]] = [{} for _ in range(n)]
     self_consistent = True
     for i, j, lower, upper in stn._rows:
-        for tail, head, weight in ((i, j, upper), (j, i, -lower)):
-            if weight == INF:
-                continue
-            if tail == head:
-                self_consistent = self_consistent and weight >= -TOLERANCE
-            elif weight < weights.get((tail, head), INF):
-                weights[tail, head] = weight
+        if i == j:
+            self_consistent = self_consistent and upper >= -TOLERANCE and lower <= TOLERANCE
+        else:
+            if upper < merged[i].get(j, INF):
+                merged[i][j] = upper
+            if -lower < merged[j].get(i, INF):
+                merged[j][i] = -lower
     try:
-        magnitude = math.fsum(map(abs, weights.values()))
+        magnitude = math.fsum(map(abs, itertools.chain.from_iterable(map(dict.values, merged))))
     except OverflowError:
         magnitude = INF  # past the largest float
     if magnitude >= MAGNITUDE_LIMIT:
         raise MadtnError(f"bounds too large to solve: their magnitudes sum to {magnitude:g} s, "
                          f"and the limit is {MAGNITUDE_LIMIT:g} s, a quarter of the largest float")
-    successors: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for (tail, head), weight in weights.items():
-        successors[tail].append((head, weight))
+    successors = [list(out.items()) for out in merged]
     potential = [0.0] * n
-    inserted: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    consistent = self_consistent and all(
-        add_arc(inserted, potential, tail, head, weight)
-        for tail in _insertion_order(successors)
-        for head, weight in successors[tail]
-    )
-    return DistanceGraph(points, index, successors, potential if consistent else None)
+    if not self_consistent:
+        return DistanceGraph(points, index, successors, None)
+    # The arcs in place: a vertex's list joins once all its arcs are in. A
+    # fall that reached the tail would reject its arc, so no fall reads the
+    # tail's own arcs while they go in.
+    placed: list[Sequence[tuple[int, float]]] = [()] * n
+    for tail in _insertion_order(successors):
+        out = successors[tail]
+        for head, weight in out:
+            if not _lower(placed, potential, tail, head, weight):
+                return DistanceGraph(points, index, successors, None)
+        placed[tail] = out
+    return DistanceGraph(points, index, successors, potential)
 
 
 def _insertion_order(successors: list[list[tuple[int, float]]]) -> list[int]:
@@ -413,25 +423,49 @@ def add_arc(
     ``potential[u] + w - potential[v]`` below ``-TOLERANCE``, as
     ``DistanceGraph.potential`` and ``DistanceGraph.arcs()`` are. The labels
     the new arc lowers fall from ``head`` outward, largest fall first
-    (``_fall``). Should ``tail``'s own label fall, the new arc closes a
-    cycle weighing below ``-TOLERANCE``: nothing changes and the verdict is
-    False. So it is when a fall runs round such a cycle elsewhere, which a
-    potential feasible only to within ``TOLERANCE`` per arc can hide.
+    (``_fall``); when no arc leaves ``head``, its label is the only one to
+    fall and is written directly. Should ``tail``'s own label fall, the new
+    arc closes a cycle weighing below ``-TOLERANCE``: nothing changes and
+    the verdict is False. So it is when a fall runs round such a cycle
+    elsewhere, which a potential feasible only to within ``TOLERANCE`` per
+    arc can hide.
     Otherwise the arc is appended to ``successors[tail]``, the fallen
     labels are written into ``potential`` and the verdict is True. Removing
     arcs keeps a potential feasible, so ``successors[tail].pop()`` takes the
     last added arc back off.
     """
+    if not _lower(successors, potential, tail, head, weight):
+        return False
+    successors[tail].append((head, weight))
+    return True
+
+
+def _lower(
+    arcs: Sequence[Sequence[tuple[int, float]]],
+    potential: list[float],
+    tail: int,
+    head: int,
+    weight: float,
+) -> bool:
+    """Lower the labels ``tail -> head`` reaches over ``arcs``; False on a cycle.
+
+    The verdict and writes of ``add_arc``, which appends the arc as well. A
+    head with no arcs out is the only label that falls, so it is written
+    here with no ``_fall``, which would push nothing and return just that
+    label, settled.
+    """
     start = potential[tail] + weight
     if start < potential[head] - TOLERANCE:
         if head == tail:
             return False
-        lowered, settled = _fall(successors, potential, potential, head, start, tail)
+        if not arcs[head]:
+            potential[head] = start
+            return True
+        lowered, settled = _fall(arcs, potential, potential, head, start, tail)
         if not settled:
             return False
         for v, label in lowered.items():
             potential[v] = label
-    successors[tail].append((head, weight))
     return True
 
 

@@ -18,6 +18,11 @@ fits inside the default domain.
 per constraint, in the order the ``compile_to_stn`` docstring gives, so
 every bound passes ``TemporalConstraint``'s checks on its way in.
 
+``reference_solve`` is ``solve`` as it stood before each arc was stored
+once: duplicate pairs merge through one dict keyed by ``(tail, head)``,
+and every arc goes into growing per-vertex lists by the insertion step
+``add_arc`` then had, each fall through ``stn._fall``.
+
 ``reference_simulate`` is the simulation loop as it stood before runs were
 planned per task: every run rebuilds each agent's queue and start gates
 and walks them one constraint at a time.
@@ -39,7 +44,7 @@ from madtn.simulate import (
     _start_gates,
     _waiting_cycle,
 )
-from madtn.stn import STN, check_schedule
+from madtn.stn import STN, DistanceGraph, _fall, _insertion_order, check_schedule
 
 # A constraint is (i, j, lower, upper): lower <= t[j] - t[i] <= upper.
 Constraint = tuple[int, int, float, float]
@@ -331,6 +336,50 @@ def reference_compile(
     for c in daisy.constraints:
         stn.constrain(c.source, c.target, c.lower, c.upper)
     return stn
+
+
+# -- solve reference -------------------------------------------------------------
+
+
+def reference_solve(stn: STN) -> DistanceGraph:
+    """``solve`` through a ``(tail, head)`` dict merge and growing arc lists."""
+    points = stn.timepoints
+    weights: dict[tuple[int, int], float] = {}
+    self_consistent = True
+    for i, j, lower, upper in stn._rows:
+        for tail, head, weight in ((i, j, upper), (j, i, -lower)):
+            if weight == INF:
+                continue
+            if tail == head:
+                self_consistent = self_consistent and weight >= -TOLERANCE
+            elif weight < weights.get((tail, head), INF):
+                weights[tail, head] = weight
+    successors: list[list[tuple[int, float]]] = [[] for _ in points]
+    for (tail, head), weight in weights.items():
+        successors[tail].append((head, weight))
+    potential = [0.0] * len(points)
+    inserted: list[list[tuple[int, float]]] = [[] for _ in points]
+    consistent = self_consistent and all(
+        _insert(inserted, potential, tail, head, weight)
+        for tail in _insertion_order(successors)
+        for head, weight in successors[tail]
+    )
+    return DistanceGraph(points, dict(stn._index), successors, potential if consistent else None)
+
+
+def _insert(successors, potential, tail, head, weight) -> bool:
+    """Lower what ``tail -> head`` reaches, every fall by ``_fall``, then append."""
+    start = potential[tail] + weight
+    if start < potential[head] - TOLERANCE:
+        if head == tail:
+            return False
+        lowered, settled = _fall(successors, potential, potential, head, start, tail)
+        if not settled:
+            return False
+        for v, label in lowered.items():
+            potential[v] = label
+    successors[tail].append((head, weight))
+    return True
 
 
 # -- simulation reference -------------------------------------------------------

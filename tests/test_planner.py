@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from collections import Counter
 
@@ -25,13 +26,16 @@ from madtn import (
     enumerate_orders,
     greedy_assign,
     linear_extensions,
+    parse_daisy,
     partial_order,
     solve,
 )
 from madtn import planner
 from madtn import stn as stn_module
 from madtn.stn import TOLERANCE, add_arc, fold_series
+from madtn.cli import run_cli
 from oracles import dense_distances
+from same_bytes import _workloads
 
 
 def test_fixture_precedence_is_the_handoff_web(packaging):
@@ -649,3 +653,25 @@ def test_plan_orders_lowers_few_labels(monkeypatch, seed):
     assert len(enumerate_orders(daisy, limit=100)) == 100
     # Seed 1 lowers 7 464 labels and seed 7 7 370 when every vertex is kept.
     assert sum(lowered) <= 2030
+
+
+@pytest.mark.parametrize("seed", [5, 7])
+def test_plan_on_a_handoff_chain_never_folds(monkeypatch, capsys, tmp_path, seed):
+    # chain-400's task: each petal hands off to the next, so the one
+    # candidate's sequencing arcs follow the handoffs and lower no label.
+    document = _workloads().chain_task(seed, petals=50, actions=4)
+    task = tmp_path / "chain.json"
+    task.write_text(json.dumps(document))
+    expected = brute_orders(parse_daisy(document).daisy)
+    assert len(expected) == 1
+    folds = []
+    fold = planner.fold_series
+
+    def recording(*args):
+        folds.append(args)
+        return fold(*args)
+
+    monkeypatch.setattr(planner, "fold_series", recording)
+    assert run_cli(["plan", str(task)]) == 0
+    assert folds == []
+    assert capsys.readouterr().out == "".join(f"{', '.join(order)}\n" for order in expected)

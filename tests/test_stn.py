@@ -43,7 +43,10 @@ from oracles import (
     random_case,
     random_consistent_case,
     random_dyadic_case,
+    reference_solve,
 )
+from same_bytes import ROOT, _workloads
+from test_planner import random_daisy
 
 
 def test_constraint_rejects_inverted_bounds():
@@ -417,6 +420,49 @@ def test_solve_does_not_depend_on_constraint_order(monkeypatch):
         answers.append((graph.consistent, graph.bounds(start, end), earliest_schedule(stn)))
     assert answers[0] == answers[1] == answers[2]
     assert answers[0][:2] == (True, (2000.0, INF))
+
+
+def solved_form(graph):
+    """A solved graph's verdict, potential and arcs, each float by ``float.hex``."""
+    potential = None if graph.potential is None else [label.hex() for label in graph.potential]
+    return graph.consistent, potential, [[(v, w.hex()) for v, w in out] for out in graph.arcs()]
+
+
+def networks_to_solve():
+    """Networks of every shape ``solve`` meets, each with a name for failures."""
+    rng = random.Random(0x501E)
+    for k in range(300):
+        n, constraints = random_dyadic_case(rng, max_points=40)
+        shuffled = list(constraints)
+        rng.shuffle(shuffled)
+        # Bounds scaled by 2**-28 bring cycles within a few TOLERANCE of zero.
+        light = [(i, j, lower * 2.0**-28, upper * 2.0**-28) for i, j, lower, upper in constraints]
+        for form, listed in (("dyadic", constraints), ("reversed", constraints[::-1]),
+                             ("shuffled", shuffled), ("light", light)):
+            yield f"{form} {k}", stn_from_tuples(n, listed)
+    rng = random.Random(20261020)  # the random daisies of tests/test_reference.py
+    for k in range(300):
+        daisy = random_daisy(rng)
+        yield f"daisy {k}", compile_to_stn(daisy)
+        yield f"daisy {k} unsequenced", compile_to_stn(daisy, sequenced=False)
+    workloads = _workloads()
+    for name in workloads.NAMES:
+        daisy = parse_daisy(workloads.build(name, 7, ROOT).task).daisy
+        yield name, compile_to_stn(daisy)
+        yield f"{name} unsequenced", compile_to_stn(daisy, sequenced=False)
+
+
+def test_solve_matches_the_reference_solve():
+    # The reference merges duplicate pairs through one dict and inserts every
+    # arc into growing lists, each fall through ``_fall``: verdicts, labels and
+    # arcs must agree bit for bit.
+    seen = Counter()
+    for name, stn in networks_to_solve():
+        graph = solve(stn)
+        assert solved_form(graph) == solved_form(reference_solve(stn)), name
+        seen[graph.consistent] += 1
+    # Both verdicts must occur often or the comparison proves little.
+    assert min(seen.values()) >= 200, seen
 
 
 def test_madtn_never_imports_numpy():
